@@ -3,17 +3,17 @@
 // The paper models its 100baseT LAN as one shared link with latency alpha
 // and bandwidth beta: messages compete for a fixed amount of bandwidth and
 // collisions delay transmission.  We implement the classic fluid
-// approximation — the n concurrently active flows each progress at beta/n —
-// and each message additionally pays the latency alpha up front (during
-// which it does not consume bandwidth).  Rates are re-shared whenever a flow
-// joins or leaves.
+// approximation as an adapter over sim::FairShare: each message first pays
+// the latency alpha (during which it does not consume bandwidth), then joins
+// a fair share of capacity beta with no phantom sharers, so the n
+// concurrently active flows each progress at beta/n.  The adapter itself
+// keeps only the latency stage and the net.* metrics and timeline spans.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "platform/cluster.hpp"
+#include "simcore/fair_share.hpp"
 #include "simcore/simulator.hpp"
 
 namespace simsweep::net {
@@ -24,35 +24,24 @@ using sim::SimTime;
 class SharedLinkNetwork;
 
 /// One in-flight message.
-class Flow {
+class Flow : public sim::FairShare::Entry {
  public:
-  using Completion = std::function<void()>;
-
-  /// Bytes still to transfer as of the last re-share.
-  [[nodiscard]] double remaining_bytes() const noexcept { return remaining_; }
-
-  /// True until the completion callback fires or cancel() is called.
-  [[nodiscard]] bool active() const noexcept { return active_; }
+  /// Bytes still to transfer as of the last re-share; 0 once complete.
+  [[nodiscard]] double remaining_bytes() const noexcept { return remaining(); }
 
   /// Abandons the transfer; the completion callback will not fire.
   void cancel();
 
  private:
   friend class SharedLinkNetwork;
-  Flow(SharedLinkNetwork& net, double bytes, Completion done)
-      : net_(&net), remaining_(bytes), initial_bytes_(bytes),
-        done_(std::move(done)) {}
+  Flow(sim::Simulator& simulator, double bytes, Completion done)
+      : Entry(bytes, std::move(done)),
+        simulator_(&simulator),
+        started_(simulator.now()) {}
 
-  SharedLinkNetwork* net_;
-  double remaining_;
-  double initial_bytes_;  // payload at start; auditor conservation bound
-  Completion done_;
-  SimTime started_ = 0.0;  // submission time; timeline flow spans
-  SimTime last_update_ = 0.0;
-  double rate_ = 0.0;  // bytes/s granted at last re-share
-  bool in_latency_ = true;
-  sim::EventHandle event_;
-  bool active_ = true;
+  sim::Simulator* simulator_;
+  SimTime started_;  // submission time; timeline flow spans
+  sim::EventHandle latency_;
 };
 
 class SharedLinkNetwork {
@@ -69,7 +58,7 @@ class SharedLinkNetwork {
   /// Number of flows currently consuming bandwidth (excludes flows still in
   /// their latency phase).
   [[nodiscard]] std::size_t active_flows() const noexcept {
-    return flows_.size();
+    return share_.size();
   }
 
   [[nodiscard]] const platform::LinkSpec& link() const noexcept { return link_; }
@@ -80,25 +69,11 @@ class SharedLinkNetwork {
   }
 
  private:
-  friend class Flow;
-  void admit(const std::shared_ptr<Flow>& flow);
-  void reshare();
-  void reshare_pass(bool auditing);
-  void schedule_completion(const std::shared_ptr<Flow>& flow);
-  void finish(const std::shared_ptr<Flow>& flow);
-  void remove_flow(const Flow* flow);
-  void audit_accrual(const Flow& flow, SimTime now, double elapsed) const;
   void observe_completion(const Flow& flow);
 
   sim::Simulator& simulator_;
   platform::LinkSpec link_;
-  std::vector<std::shared_ptr<Flow>> flows_;  // bandwidth-consuming flows
-  // Re-entrancy guard: a callback reached from inside a re-share pass (a
-  // completion that starts or cancels another flow) must not interleave a
-  // second rate assignment with the one in progress; the nested request is
-  // deferred and the pass re-runs against the settled flow set.
-  bool resharing_ = false;
-  bool reshare_pending_ = false;
+  sim::FairShare share_;  // the bandwidth
 };
 
 }  // namespace simsweep::net

@@ -1,23 +1,24 @@
 // Simulated workstation.
 //
 // A Host has a fixed peak speed and a time-varying number of external
-// competing compute-bound processes.  The CPU is shared fairly between the
-// competitors and every application task running on the host, so each
-// application task progresses at
+// competing compute-bound processes.  It is an adapter over sim::FairShare:
+// the CPU is shared fairly between the competitors (phantom sharers) and
+// every application task running on the host, so each application task
+// progresses at
 //
-//     peak_speed / (external_load + running_app_tasks)        [flop/s]
+//     peak_speed / max(1, external_load + running_app_tasks)   [flop/s]
 //
-// Application work is executed through ComputeTask objects: the host
-// schedules a completion event from the remaining work and the current rate,
-// and re-plans all running tasks whenever the load or the task count changes.
+// and at 0 while the host is offline.  The Host itself keeps only what is
+// specific to a workstation: its load history, the availability it reports
+// and the observability of load changes.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "simcore/fair_share.hpp"
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/trace_recorder.hpp"
@@ -27,35 +28,20 @@ namespace simsweep::platform {
 using sim::SimDuration;
 using sim::SimTime;
 
-class Host;
-
 /// A unit of CPU work executing on a host.  Created via Host::start_compute;
 /// destroyed (or cancelled) when complete.
-class ComputeTask {
+class ComputeTask : public sim::FairShare::Entry {
  public:
-  using Completion = std::function<void()>;
+  /// Work still to do, in flops, as of the last re-plan; 0 once complete.
+  [[nodiscard]] double remaining_work() const noexcept { return remaining(); }
 
-  /// Work still to do, in flops, as of the last re-plan.
-  [[nodiscard]] double remaining_work() const noexcept { return remaining_; }
-
-  /// True until the completion callback has fired or cancel() was called.
-  [[nodiscard]] bool active() const noexcept { return active_; }
-
-  /// Abandons the task; the completion callback will not fire.
-  void cancel();
+  /// Abandons the task; the completion callback will not fire.  The other
+  /// tasks on the host take over its share.
+  void cancel() { abandon(); }
 
  private:
   friend class Host;
-  ComputeTask(Host& host, double work, Completion done)
-      : host_(&host), remaining_(work), done_(std::move(done)) {}
-
-  Host* host_;
-  double remaining_;
-  Completion done_;
-  SimTime last_update_ = 0.0;
-  double rate_ = 0.0;  // flop/s granted at last re-plan
-  sim::EventHandle completion_event_;
-  bool active_ = true;
+  using Entry::Entry;
 };
 
 /// Identifier of a host within its cluster.
@@ -119,7 +105,7 @@ class Host {
 
   /// Number of application tasks currently running here.
   [[nodiscard]] std::size_t running_tasks() const noexcept {
-    return tasks_.size();
+    return share_.size();
   }
 
   /// Optional availability trace: when a recorder is attached the host logs
@@ -145,18 +131,9 @@ class Host {
   [[nodiscard]] double mean_availability(SimTime t0, SimTime t1) const;
 
  private:
-  friend class ComputeTask;
-
-  /// Progress accrual + completion-event rebuild for all running tasks.
-  void replan();
   void record_state();
-  void accrue(ComputeTask& task, SimTime now) const;
-  void schedule_completion(const std::shared_ptr<ComputeTask>& task);
-  void finish(const std::shared_ptr<ComputeTask>& task);
-  void remove_task(const ComputeTask* task);
-
-  /// Rate currently granted to each app task.
-  [[nodiscard]] double per_task_rate() const noexcept;
+  /// Hands the current capacity and competitor count to the CPU share.
+  void reshare();
 
   sim::Simulator& simulator_;
   HostId id_;
@@ -165,7 +142,6 @@ class Host {
   int external_load_ = 0;
   bool online_ = true;
   bool crashed_ = false;
-  std::vector<std::shared_ptr<ComputeTask>> tasks_;
   std::vector<sim::Sample> load_history_;
   sim::TraceRecorder* trace_ = nullptr;
 
@@ -176,6 +152,8 @@ class Host {
   obs::Histogram* availability_metric_ = nullptr;
   obs::TimelineTracer::TrackId timeline_track_ = 0;
   bool timeline_track_cached_ = false;
+
+  sim::FairShare share_;  // the CPU
 };
 
 }  // namespace simsweep::platform

@@ -12,6 +12,7 @@
 #include "golden_scenarios.hpp"
 #include "load/onoff.hpp"
 #include "net/shared_link.hpp"
+#include "platform/host.hpp"
 #include "simcore/simulator.hpp"
 #include "swampi/runtime.hpp"
 #include "swampi/swap_ext.hpp"
@@ -100,6 +101,34 @@ TEST(AuditedSubsystems, SimulatorAndNetworkRunClean) {
   (void)s.after(1.0, [&] { flows[7]->cancel(); });
   (void)s.after(2.0, [&] { flows.push_back(n.start_transfer(50.0, [] {})); });
   s.run();
+  EXPECT_EQ(auditor.violation_count(), 0u)
+      << audit::to_string(auditor.take_violations().front());
+}
+
+TEST(AuditedSubsystems, HostRunClean) {
+  // Load churn, an outage, a cancel with a sibling still running, staggered
+  // completions and a crash under a running task walk every audited path
+  // of the host's CPU share; a healthy run must be silent.
+  audit::InvariantAuditor auditor(audit::AuditMode::kWarn);
+  sim::Simulator s;
+  s.set_auditor(&auditor);
+  pf::Host h(s, 0, 300.0e6, "churned");
+  pf::Host doomed(s, 1, 200.0e6, "doomed");
+  int completed = 0;
+  std::vector<std::shared_ptr<pf::ComputeTask>> tasks;
+  for (int i = 0; i < 4; ++i)
+    tasks.push_back(h.start_compute(1.0e9 * (1.0 + 0.37 * i),
+                                    [&completed] { ++completed; }));
+  for (int i = 1; i <= 40; ++i)
+    (void)s.at(0.3 * i, [&h, i] { h.set_external_load(i % 4); });
+  (void)s.at(2.05, [&] { h.set_online(false); });
+  (void)s.at(4.4, [&] { h.set_online(true); });
+  (void)s.at(5.0, [&] { tasks[3]->cancel(); });
+  auto lost = doomed.start_compute(5.0e9, [&completed] { ++completed; });
+  (void)s.at(1.5, [&] { doomed.set_crashed(); });
+  s.run();
+  EXPECT_EQ(completed, 3);
+  EXPECT_TRUE(lost->active());  // stalled forever on the dead host
   EXPECT_EQ(auditor.violation_count(), 0u)
       << audit::to_string(auditor.take_violations().front());
 }

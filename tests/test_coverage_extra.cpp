@@ -99,6 +99,17 @@ TEST(SharedLinkEdge, CompletionClearsActiveFlows) {
   EXPECT_EQ(n.active_flows(), 0u);
   EXPECT_FALSE(flow->active());
   EXPECT_DOUBLE_EQ(flow->remaining_bytes(), 0.0);
+
+  // The host adapter leaves the same post-completion state.  The load
+  // change makes the accrued remainder at completion a rounding residue
+  // (7e-15 flop) rather than an exact zero.
+  pf::Host h(s, 0, 100.0, "h");
+  auto task = h.start_compute(100.0, [] {});
+  (void)s.after(0.7, [&] { h.set_external_load(1); });
+  s.run();
+  EXPECT_EQ(h.running_tasks(), 0u);
+  EXPECT_FALSE(task->active());
+  EXPECT_DOUBLE_EQ(task->remaining_work(), 0.0);
 }
 
 TEST(SimulatorEdge, IdleReflectsPendingEvents) {

@@ -121,9 +121,10 @@ TEST(SharedLink, LatencyPhaseDoesNotConsumeBandwidth) {
 }
 
 TEST(SharedLink, CancelFromCompletionCallbackIsSafe) {
-  // A flow's completion callback cancelling a sibling re-enters the
-  // network's resharing machinery mid-update; the deferred-reshare guard
-  // must fold the nested pass in without corrupting any flow's accrual.
+  // A flow's completion callback cancels a sibling.  finish() re-shares the
+  // survivors before it runs the callback, so the cancel starts a second,
+  // sequential re-share (not a nested one): the cancelled flow must never
+  // complete, and the finisher's timing is unaffected.
   sim::Simulator s;
   net::SharedLinkNetwork n(s, link(0.0, 100.0));
   double a = -1.0;
@@ -140,8 +141,9 @@ TEST(SharedLink, CancelFromCompletionCallbackIsSafe) {
 }
 
 TEST(SharedLink, StartFromCompletionCallbackIsSafe) {
-  // Starting a new transfer from inside a completion callback (and
-  // cancelling another) exercises admit + cancel re-entering reshare.
+  // A completion callback cancels one flow and starts another.  Both run
+  // after finish()'s own re-share, so the cancel's re-share and the new
+  // flow's admission are sequential: the new flow must get the whole link.
   sim::Simulator s;
   net::SharedLinkNetwork n(s, link(0.0, 100.0));
   double a = -1.0, c = -1.0;

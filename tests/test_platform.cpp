@@ -102,6 +102,20 @@ TEST(Host, CancelPreventsCompletion) {
   EXPECT_EQ(h.running_tasks(), 0u);
 }
 
+TEST(Host, CancelReturnsShareToSibling) {
+  sim::Simulator s;
+  pf::Host h(s, 0, 100.0, "h");
+  double done_at = -1.0;
+  auto t1 = h.start_compute(100.0, [] {});
+  auto t2 = h.start_compute(100.0, [&] { done_at = s.now(); });
+  (void)s.after(0.5, [&] { t1->cancel(); });
+  s.run();
+  // 25 flop done at 50 flop/s by t=0.5; the survivor then owns the CPU and
+  // finishes the remaining 75 flop at 100 flop/s.
+  EXPECT_DOUBLE_EQ(done_at, 1.25);
+  EXPECT_EQ(h.running_tasks(), 0u);
+}
+
 TEST(Host, ZeroWorkCompletesImmediately) {
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
