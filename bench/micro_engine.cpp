@@ -2,6 +2,9 @@
 // queue throughput, host re-planning, link re-sharing, full small runs.
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "load/onoff.hpp"
 #include "net/shared_link.hpp"
@@ -43,6 +46,31 @@ static void BM_EventQueueSelfScheduling(benchmark::State& state) {
   state.SetItemsProcessed(10000 * state.iterations());
 }
 BENCHMARK(BM_EventQueueSelfScheduling);
+
+// The FairShare shape: every re-plan cancels and reschedules each of the n
+// pending completion events, burying n stale entries in the heap.
+static void BM_EventQueueCancelReschedule(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr int kReplans = 1000;
+  for (auto _ : state) {
+    sim::Simulator s;
+    std::vector<sim::EventHandle> pending(n);
+    int replans = 0;
+    std::function<void()> replan = [&] {
+      for (std::size_t i = 0; i < n; ++i) {
+        pending[i].cancel();
+        pending[i] = s.after(1.0 + static_cast<double>(i), [] {});
+      }
+      if (++replans < kReplans) (void)s.after(0.5, replan);
+    };
+    (void)s.after(0.5, replan);
+    s.run();
+    benchmark::DoNotOptimize(s.events_fired());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * kReplans *
+                          state.iterations());
+}
+BENCHMARK(BM_EventQueueCancelReschedule)->Arg(8)->Arg(64);
 
 static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
   for (auto _ : state) {

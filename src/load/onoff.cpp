@@ -1,5 +1,6 @@
 #include "load/onoff.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,12 +17,26 @@ double sample_geometric_sojourn(sim::Rng& rng, double exit_p, double step_s) {
   return std::max(1.0, k) * step_s;
 }
 
+GeometricSojourn::GeometricSojourn(double exit_p, double step_s)
+    : exit_p_(exit_p), step_s_(step_s), log_stay_(std::log(1.0 - exit_p)) {}
+
+double GeometricSojourn::sample(sim::Rng& rng) const {
+  if (exit_p_ <= 0.0) return sim::kTimeInfinity;
+  if (exit_p_ >= 1.0) return step_s_;
+  const double u = rng.uniform01();
+  const double k = std::ceil(std::log(1.0 - u) / log_stay_);
+  return std::max(1.0, k) * step_s_;
+}
+
 namespace {
 
 class OnOffSource final : public LoadSource {
  public:
   OnOffSource(const OnOffParams& params, sim::Rng rng)
-      : params_(params), rng_(rng) {}
+      : params_(params),
+        rng_(rng),
+        leave_off_(params.p, params.step_s),
+        leave_on_(params.q, params.step_s) {}
 
   void start(sim::Simulator& simulator, platform::Host& host) override {
     simulator_ = &simulator;
@@ -35,8 +50,7 @@ class OnOffSource final : public LoadSource {
 
  private:
   void schedule_next() {
-    const double exit_p = on_ ? params_.q : params_.p;
-    const double sojourn = sample_geometric_sojourn(rng_, exit_p, params_.step_s);
+    const double sojourn = (on_ ? leave_on_ : leave_off_).sample(rng_);
     if (sojourn == sim::kTimeInfinity) return;  // absorbed in this state
     simulator_->after(sojourn, [this] {
       on_ = !on_;
@@ -47,6 +61,8 @@ class OnOffSource final : public LoadSource {
 
   OnOffParams params_;
   sim::Rng rng_;
+  GeometricSojourn leave_off_;  ///< exit probability p
+  GeometricSojourn leave_on_;   ///< exit probability q
   sim::Simulator* simulator_ = nullptr;
   platform::Host* host_ = nullptr;
   bool on_ = false;

@@ -65,4 +65,18 @@ class OnOffModel final : public LoadModel {
 [[nodiscard]] double sample_geometric_sojourn(sim::Rng& rng, double exit_p,
                                               double step_s);
 
+/// sample_geometric_sojourn for one fixed exit probability, with ln(1 - p)
+/// computed once instead of per draw.  Draws the bit-identical sequence.
+class GeometricSojourn {
+ public:
+  GeometricSojourn(double exit_p, double step_s);
+
+  [[nodiscard]] double sample(sim::Rng& rng) const;
+
+ private:
+  double exit_p_;
+  double step_s_;
+  double log_stay_;  ///< ln(1 - exit_p)
+};
+
 }  // namespace simsweep::load

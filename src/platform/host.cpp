@@ -1,5 +1,7 @@
 #include "platform/host.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -111,18 +113,18 @@ double Host::mean_availability(SimTime t0, SimTime t1) const {
   // time-averaged count into availability segment by segment.
   if (t1 < t0) throw std::invalid_argument("mean_availability: t1 < t0");
   if (sim::time_close(t0, t1)) return availability();
+  // The history is time-ordered: binary-search the first sample after t0;
+  // the one before it (if any) holds the value in force at t0.
+  auto it = std::upper_bound(
+      load_history_.begin(), load_history_.end(), t0,
+      [](SimTime t, const sim::Sample& s) { return t < s.time; });
   double area = 0.0;
-  double value = 0.0;
+  double value = it == load_history_.begin() ? 0.0 : std::prev(it)->value;
   SimTime cursor = t0;
-  for (const sim::Sample& s : load_history_) {
-    if (s.time <= t0) {
-      value = s.value;
-      continue;
-    }
-    if (s.time >= t1) break;
-    area += (s.time - cursor) * availability_of_sample(value);
-    cursor = s.time;
-    value = s.value;
+  for (; it != load_history_.end() && it->time < t1; ++it) {
+    area += (it->time - cursor) * availability_of_sample(value);
+    cursor = it->time;
+    value = it->value;
   }
   area += (t1 - cursor) * availability_of_sample(value);
   const double mean = area / (t1 - t0);

@@ -127,7 +127,9 @@ class Host {
     return value < 0.0 ? 0.0 : 1.0 / (1.0 + value);
   }
 
-  /// Mean availability over [t0, t1] from the recorded history.
+  /// Mean availability over [t0, t1] from the recorded history.  Finds t0
+  /// by binary search, so the cost grows with the samples inside the window,
+  /// not with the length of the history.
   [[nodiscard]] double mean_availability(SimTime t0, SimTime t1) const;
 
  private:

@@ -137,11 +137,13 @@ class Simulator {
   /// earlier, so time-based observers see a consistent clock.
   void run_until(SimTime horizon) {
     stopped_ = false;
-    while (!stopped_ && !queue_.empty() && queue_.next_time() <= horizon) {
+    // One purge per fired event: live_top() drops cancelled entries, then
+    // the top is read and popped without purging again.
+    while (!stopped_ && queue_.live_top() && queue_.top_time() <= horizon) {
       if (budget_ != 0 && fired_ >= budget_) throw EventBudgetExceeded(budget_);
       if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))
         throw RunCancelled();
-      auto [t, cb] = queue_.pop();
+      auto [t, cb] = queue_.pop_top();
       if (auditor_ != nullptr && auditor_->enabled()) audit_pop(t);
       // size_bound() is an upper bound (buried cancelled entries count),
       // which is exactly the memory-pressure quantity worth watching.

@@ -1,7 +1,9 @@
 // Unit and statistical tests for the CPU load models.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "load/hyperexp.hpp"
 #include "load/load_model.hpp"
@@ -57,6 +59,21 @@ TEST(GeometricSojourn, EdgeCases) {
   EXPECT_DOUBLE_EQ(load::sample_geometric_sojourn(rng, 1.0, 10.0), 10.0);
   for (int i = 0; i < 100; ++i)
     EXPECT_GE(load::sample_geometric_sojourn(rng, 0.9, 10.0), 10.0);
+}
+
+TEST(GeometricSojourn, CachedLogDrawsReferenceSequenceBitForBit) {
+  for (const double p : {0.0, 0.05, 0.5, 0.96, 1.0}) {
+    const load::GeometricSojourn cached(p, 100.0);
+    sim::Rng a(17);
+    sim::Rng b(17);
+    for (int i = 0; i < 5000; ++i) {
+      const double want = load::sample_geometric_sojourn(a, p, 100.0);
+      const double got = cached.sample(b);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "p=" << p << " draw " << i;
+    }
+  }
 }
 
 TEST(OnOffModel, StationaryFractionFormula) {

@@ -1,6 +1,12 @@
 // Unit tests for hosts, compute tasks and the cluster builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "platform/cluster.hpp"
 #include "platform/host.hpp"
 #include "simcore/simulator.hpp"
@@ -182,6 +188,69 @@ TEST(Cluster, SortsByEffectiveSpeed) {
   EXPECT_EQ(order[2], 1u);
   const auto peak = c.by_peak_speed();
   EXPECT_EQ(peak[0], 0u);
+}
+
+namespace {
+
+/// The history walk before it binary-searched its start: scans every
+/// sample from the front.
+double linear_mean_availability(const std::vector<sim::Sample>& history,
+                                double t0, double t1) {
+  double area = 0.0;
+  double value = 0.0;
+  double cursor = t0;
+  for (const sim::Sample& s : history) {
+    if (s.time <= t0) {
+      value = s.value;
+      continue;
+    }
+    if (s.time >= t1) break;
+    area += (s.time - cursor) * pf::Host::availability_of_sample(value);
+    cursor = s.time;
+    value = s.value;
+  }
+  area += (t1 - cursor) * pf::Host::availability_of_sample(value);
+  return area / (t1 - t0);
+}
+
+}  // namespace
+
+TEST(Host, MeanAvailabilityMatchesLinearScanBitForBit) {
+  sim::Simulator s;
+  // Created at t=50 so windows can also start before the first sample.
+  s.run_until(50.0);
+  pf::Host h(s, 0, 100.0, "h");
+  sim::Rng rng(11);
+  double t = 50.0;
+  for (int i = 0; i < 16000; ++i) {
+    // Whole-second steps, a fifth of them zero: many equal sample times.
+    if (!rng.bernoulli(0.2)) t += std::floor(rng.uniform(1.0, 6.0));
+    const int load = static_cast<int>(rng.uniform(0.0, 4.0));
+    const bool offline = rng.bernoulli(0.05);
+    (void)s.at(t, [&h, load, offline] {
+      h.set_online(!offline);
+      h.set_external_load(load);
+    });
+  }
+  s.run();
+  const std::vector<sim::Sample>& history = h.load_history();
+  ASSERT_GE(history.size(), 10000u);
+  const double end = s.now();
+  for (int i = 0; i < 3000; ++i) {
+    const double anchor =
+        history[static_cast<std::size_t>(rng.uniform(0.0, 1.0) *
+                                         static_cast<double>(history.size()))]
+            .time;
+    double t0 = anchor;  // on a sample time
+    if (i % 3 == 1) t0 = anchor - rng.uniform(0.01, 0.99);  // just before one
+    if (i % 3 == 2) t0 = anchor + rng.uniform(0.01, 0.99);  // just after one
+    if (i % 100 == 0) t0 = rng.uniform(0.0, 50.0);  // before the history
+    const double t1 = std::min(end + 10.0, t0 + rng.uniform(1.0, 2000.0));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(h.mean_availability(t0, t1)),
+              std::bit_cast<std::uint64_t>(
+                  linear_mean_availability(history, t0, t1)))
+        << "window [" << t0 << ", " << t1 << "]";
+  }
 }
 
 TEST(Cluster, StartupCostScalesWithProcesses) {

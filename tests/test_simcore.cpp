@@ -1,6 +1,10 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hpp"
@@ -61,6 +65,96 @@ TEST(EventQueue, DefaultHandleIsInert) {
   h.cancel();  // must not crash
 }
 
+TEST(EventQueue, MatchesReferenceOverRandomScheduleCancelPop) {
+  // Reference: the live events keyed by (time, scheduling order).
+  std::map<std::pair<double, std::uint64_t>, std::uint64_t> reference;
+  struct Issued {
+    sim::EventHandle handle;
+    double time;
+    std::uint64_t seq;
+  };
+  std::vector<Issued> issued;  // every handle ever issued
+  sim::EventQueue q;
+  sim::Rng rng(2024);
+  std::uint64_t fired = 0;
+  const auto pick = [&]() -> Issued& {
+    return issued[static_cast<std::size_t>(rng.next_u64() % issued.size())];
+  };
+  const auto pop_and_check = [&] {
+    ASSERT_DOUBLE_EQ(q.next_time(), reference.begin()->first.first);
+    auto [t, cb] = q.pop();
+    cb();
+    EXPECT_EQ(t, reference.begin()->first.first);
+    EXPECT_EQ(fired, reference.begin()->second);
+    reference.erase(reference.begin());
+  };
+  for (int op = 0; op < 150000; ++op) {
+    const double r = rng.uniform01();
+    if (r < 0.5 || issued.empty()) {
+      // 40 distinct times: most events tie with many others.
+      const double t = std::floor(rng.uniform(0.0, 40.0)) * 0.5;
+      const std::uint64_t seq = issued.size();
+      issued.push_back(
+          Issued{q.schedule(t, [&fired, seq] { fired = seq; }), t, seq});
+      reference.emplace(std::make_pair(t, seq), seq);
+    } else if (r < 0.7) {
+      // Any handle: live, already fired, or already cancelled.
+      Issued& victim = pick();
+      victim.handle.cancel();
+      reference.erase({victim.time, victim.seq});
+    } else {
+      ASSERT_EQ(q.empty(), reference.empty());
+      if (!reference.empty()) pop_and_check();
+    }
+    const Issued& probe = pick();
+    ASSERT_EQ(probe.handle.pending(),
+              reference.count({probe.time, probe.seq}) == 1)
+        << "op " << op << ", event " << probe.seq;
+    ASSERT_GE(q.size_bound(), reference.size());
+  }
+  EXPECT_EQ(q.scheduled_total(), issued.size());
+  while (!reference.empty()) pop_and_check();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), sim::kTimeInfinity);
+}
+
+TEST(EventQueue, StaleHandleDoesNotCancelReusedSlot) {
+  sim::EventQueue q;
+  int fired = 0;
+  sim::EventHandle cancelled = q.schedule(1.0, [] {});
+  cancelled.cancel();
+  sim::EventHandle done = q.schedule(1.0, [] {});
+  q.pop().second();
+  // Both freed slots are reused by the next two events.
+  sim::EventHandle a = q.schedule(2.0, [&] { ++fired; });
+  sim::EventHandle b = q.schedule(3.0, [&] { ++fired; });
+  for (sim::EventHandle* stale : {&cancelled, &done}) {
+    EXPECT_FALSE(stale->pending());
+    stale->cancel();
+  }
+  EXPECT_TRUE(a.pending());
+  EXPECT_TRUE(b.pending());
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, PopMovesCallbackWithoutCopying) {
+  struct CountsCopies {
+    int* copies;
+    explicit CountsCopies(int* c) : copies(c) {}
+    CountsCopies(const CountsCopies& o) : copies(o.copies) { ++*copies; }
+    CountsCopies(CountsCopies&&) noexcept = default;
+    void operator()() const {}
+  };
+  int copies = 0;
+  sim::EventQueue q;
+  // Enough events to grow the slab and reorder the heap several times.
+  for (int i = 0; i < 64; ++i)
+    (void)q.schedule(static_cast<double>(64 - i), CountsCopies(&copies));
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(Simulator, AdvancesTimeToEvent) {
   sim::Simulator s;
   double seen = -1.0;
@@ -115,6 +209,20 @@ TEST(Simulator, StopEndsRun) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(s.stopped());
   EXPECT_FALSE(s.idle());
+}
+
+TEST(Simulator, RunOnEmptyQueueReturns) {
+  sim::Simulator s;
+  s.run();
+  EXPECT_EQ(s.events_fired(), 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 0.0);
+  // Only cancelled events left: the infinite horizon must not be reached.
+  sim::EventHandle h = s.after(1.0, [] {});
+  h.cancel();
+  s.run();
+  EXPECT_EQ(s.events_fired(), 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 0.0);
+  EXPECT_TRUE(s.idle());
 }
 
 TEST(Simulator, SchedulingInThePastThrows) {
