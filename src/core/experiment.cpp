@@ -61,6 +61,15 @@ void audit_run_result(audit::InvariantAuditor& auditor,
                    "makespan " + std::to_string(result.makespan_s) +
                        " s outside [0, " + std::to_string(config.horizon_s) +
                        " s]");
+  // The event loop ends at the application's terminal event: the last
+  // iteration, or the strategy giving up.  Simulating past it cannot move
+  // the result, only cost time.
+  if ((result.finished || result.resource_exhausted) &&
+      now != result.makespan_s)
+    auditor.report("experiment", "run_ends_at_terminal_event", now,
+                   "run ended at t=" + std::to_string(now) +
+                       " s but its makespan is " +
+                       std::to_string(result.makespan_s) + " s");
   if (result.finished &&
       result.iterations_completed != config.app.iterations)
     auditor.report("experiment", "finished_means_all_iterations", now,
@@ -194,16 +203,23 @@ strategy::RunResult run_single(const ExperimentConfig& config,
       .trace_decisions = config.trace_decisions,
   };
   auto exec = strat.launch(ctx);
-  // Load sources generate events forever; stop as soon as the app is done
-  // or the strategy gives up.  run_until(horizon) bounds pathological runs.
+  // Load sources generate events forever, so the loop runs in 24 h chunks
+  // up to the horizon, which bounds pathological runs.  The application's
+  // terminal event (the last iteration, or the strategy giving up) stops
+  // the simulator at once, mid-chunk.
+  sim::SimTime chunk_end = simulator.now();
   while (!exec->done() && !exec->result().resource_exhausted &&
          simulator.now() < config.horizon_s && !simulator.idle()) {
-    simulator.run_until(
-        std::min(config.horizon_s, simulator.now() + 24.0 * 3600.0));
-    if (exec->done()) break;
+    chunk_end = std::min(config.horizon_s, simulator.now() + 24.0 * 3600.0);
+    simulator.run_until(chunk_end);
   }
   strategy::RunResult result = exec->result();
-  if (injector) result.failures.host_crashes = injector->crashes_injected();
+  if (injector) {
+    // host_crashes counts planned crashes through the end of the last chunk,
+    // as if the run had simulated on to it.
+    injector->settle_through(chunk_end);
+    result.failures.host_crashes = injector->crashes_injected();
+  }
   if (!result.finished) {
     // Distinct failure shapes: the run outlived the horizon (slow but
     // live), the event queue drained with iterations outstanding (the

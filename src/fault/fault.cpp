@@ -68,17 +68,27 @@ void FaultInjector::arm() {
   for (const HostCrash& crash : plan_.crashes()) {
     simulator_.at(crash.time_s, [this, crash] {
       cluster_.host(crash.host).set_crashed();
-      ++injected_;
-      count_injection("host_crash");
-      if (obs::TimelineTracer* timeline = simulator_.timeline())
-        timeline->instant(timeline->track("faults"), "host_crash", "fault",
-                          simulator_.now(),
-                          {{"host", static_cast<double>(crash.host)}});
+      book_crash(crash);
       // Listeners run after the host is marked dead so they observe the
       // post-crash cluster state.
       for (const auto& listener : listeners_) listener(crash.host);
     });
   }
+}
+
+void FaultInjector::settle_through(sim::SimTime t) {
+  const std::vector<HostCrash>& crashes = plan_.crashes();
+  while (injected_ < crashes.size() && crashes[injected_].time_s <= t)
+    book_crash(crashes[injected_]);
+}
+
+void FaultInjector::book_crash(const HostCrash& crash) {
+  ++injected_;
+  count_injection("host_crash");
+  if (obs::TimelineTracer* timeline = simulator_.timeline())
+    timeline->instant(timeline->track("faults"), "host_crash", "fault",
+                      crash.time_s,
+                      {{"host", static_cast<double>(crash.host)}});
 }
 
 void FaultInjector::count_injection(std::string_view kind) {

@@ -110,10 +110,19 @@ class FaultInjector {
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
-  /// Crashes that have actually fired so far.
+  /// Crashes fired so far, plus any booked by settle_through().
   [[nodiscard]] std::size_t crashes_injected() const noexcept {
     return injected_;
   }
+
+  /// Books every planned crash at or before `t` that has not fired as
+  /// injected, without simulating it: the count, the
+  /// "fault.injections{kind=host_crash}" counter and a timeline instant at
+  /// the planned time, but no host state change and no listener.  For a run
+  /// whose event loop ended before `t`, this keeps the crash count what
+  /// simulating on to `t` would have given.  The fired crashes are always a
+  /// prefix of the sorted plan, since arm() schedules them in plan order.
+  void settle_through(sim::SimTime t);
 
   /// Registers a crash listener; fired after the host is marked crashed.
   void on_crash(std::function<void(platform::HostId)> listener) {
@@ -148,6 +157,9 @@ class FaultInjector {
  private:
   /// Bumps "fault.injections{kind=...}" when a metrics registry is attached.
   void count_injection(std::string_view kind);
+
+  /// Counts one crash as injected: injected_, the metric and the timeline.
+  void book_crash(const HostCrash& crash);
 
   sim::Simulator& simulator_;
   platform::Cluster& cluster_;

@@ -200,6 +200,9 @@ void IterativeExecution::iteration_complete() {
     result_.finished = true;
     result_.makespan_s = simulator_.now();
     if (auditor != nullptr && auditor->enabled()) audit_makespan();
+    // Nothing simulated past the last iteration can change the result, so
+    // the event loop ends here instead of running platform load onward.
+    simulator_.stop();
     return;
   }
   if (hook_) {

@@ -37,7 +37,8 @@ class IterativeExecution {
   /// Call once, then run the simulator.
   void start(double startup_cost_s);
 
-  /// True once all iterations completed.
+  /// True once all iterations completed.  The last completion also stops
+  /// the simulator: it is the run's terminal event.
   [[nodiscard]] bool done() const noexcept { return done_; }
 
   /// Result so far; complete once done() is true.

@@ -18,7 +18,11 @@ namespace simsweep::strategy {
 /// Failure accounting for one run under fault injection.  All zero when
 /// faults are disabled.
 struct FailureStats {
-  /// Permanent host crashes that fired during the run (cluster-wide).
+  /// Permanent host crashes (cluster-wide) planned through the end of the
+  /// 24 h run chunk in which the run ended: the crashes that fired before
+  /// the terminal event, plus the planned ones after it up to the chunk end
+  /// (FaultInjector::settle_through), so it can exceed the crashes the
+  /// application saw.
   std::size_t host_crashes = 0;
 
   /// State-transfer attempts that died partway.

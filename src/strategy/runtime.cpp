@@ -93,6 +93,7 @@ void TechniqueRuntime::mark_resource_exhausted() {
   if (obs::MetricsRegistry* metrics = exec_->simulator().metrics())
     metrics->add("strategy.resource_exhausted");
   trace_recovery("resource_exhausted", 0);
+  exec_->simulator().stop();
 }
 
 // ------------------------------------------------------------------ transfers

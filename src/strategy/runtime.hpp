@@ -113,9 +113,8 @@ class TechniqueRuntime
   void abort_for_crash();
 
   /// The technique gives up: no usable host remains to recover onto.  The
-  /// give-up instant is recorded as the makespan here because the
-  /// experiment loop only notices at its next chunk boundary, possibly
-  /// hours later.  Ends any recovery in progress.
+  /// give-up instant is the makespan and the run's terminal event, so the
+  /// simulator stops here.  Ends any recovery in progress.
   void mark_resource_exhausted();
 
   // --- transfers ----------------------------------------------------------

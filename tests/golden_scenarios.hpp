@@ -86,6 +86,17 @@ inline core::ExperimentConfig config_for(const std::string& scenario) {
   return scn::base_config(spec_for(scenario));
 }
 
+/// golden_faulty shrunk until crash recovery runs out of hosts: 6 hosts
+/// (2 spares) and a 2 h MTBF, so most cells give up (resource_exhausted).
+/// Runs with model_for("faulty").
+inline core::ExperimentConfig exhausting_config() {
+  core::ExperimentConfig cfg = config_for("faulty");
+  cfg.cluster.host_count = 6;
+  cfg.spare_count = 2;
+  cfg.faults.host_mtbf_s = 2.0 * 3600.0;
+  return cfg;
+}
+
 inline std::shared_ptr<const load::LoadModel> model_for(
     const std::string& scenario) {
   return scn::make_load_model(spec_for(scenario).load);

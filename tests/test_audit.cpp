@@ -238,3 +238,27 @@ TEST(GoldenAudit, FaultScenariosSurviveFailFast) {
     }
   }
 }
+
+// Runs that give up on exhausted resources stop at the give-up instant, as
+// finished runs stop at their last iteration.  Under warn-mode auditing
+// neither kind may report run_ends_at_terminal_event (or anything else).
+TEST(GoldenAudit, ExhaustedRunsEndAtTheirTerminalEvent) {
+  std::size_t exhausted = 0;
+  for (const auto& technique : golden::techniques()) {
+    for (const auto seed : golden::seeds()) {
+      auto cfg = golden::exhausting_config();
+      cfg.seed = seed;
+      cfg.audit = audit::AuditMode::kWarn;
+      const auto model = golden::model_for("faulty");
+      const auto strategy = golden::make_technique(technique);
+      const auto result = golden::core::run_single(cfg, *model, *strategy);
+      if (result.resource_exhausted) ++exhausted;
+      EXPECT_TRUE(result.audit_report.empty())
+          << technique << "/seed" << seed << ": "
+          << (result.audit_report.empty()
+                  ? ""
+                  : audit::to_string(result.audit_report.front()));
+    }
+  }
+  EXPECT_GT(exhausted, 0u);
+}

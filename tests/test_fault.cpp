@@ -11,6 +11,8 @@
 #include "fault/fault.hpp"
 #include "load/onoff.hpp"
 #include "net/shared_link.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
 #include "platform/cluster.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
@@ -27,6 +29,7 @@ namespace load = simsweep::load;
 namespace strat = simsweep::strategy;
 namespace fault = simsweep::fault;
 namespace swp = simsweep::swap;
+namespace obs = simsweep::obs;
 
 namespace {
 
@@ -184,6 +187,50 @@ TEST(FaultInjector, ArmCrashesHostsAndFiresListeners) {
     EXPECT_TRUE(cluster.host(seen[i]).crashed());
     EXPECT_FALSE(cluster.host(seen[i]).online());
   }
+}
+
+TEST(FaultInjector, SettleThroughBooksUnfiredCrashesWithoutSimulating) {
+  sim::Simulator simulator;
+  obs::MetricsRegistry metrics;
+  obs::TimelineTracer timeline;
+  simulator.set_metrics(&metrics);
+  simulator.set_timeline(&timeline);
+  sim::Rng rng(1);
+  pf::ClusterSpec cspec;
+  cspec.host_count = 8;
+  pf::Cluster cluster(simulator, cspec, rng);
+  fault::FaultInjector injector(simulator, cluster, crashy_spec(3600.0), 11,
+                                /*horizon_s=*/48 * 3600.0);
+  const std::vector<fault::HostCrash>& plan = injector.plan().crashes();
+  ASSERT_GE(plan.size(), 3u);
+  ASSERT_LT(plan[plan.size() - 2].time_s, plan.back().time_s);
+  std::size_t heard = 0;
+  injector.on_crash([&](pf::HostId) { ++heard; });
+  injector.arm();
+  // The run ends right after the first crash; the next-to-last planned
+  // crash is the bound to settle through.
+  simulator.run_until(plan.front().time_s);
+  ASSERT_EQ(injector.crashes_injected(), 1u);
+  const double bound = plan[plan.size() - 2].time_s;
+  injector.settle_through(bound);
+  EXPECT_EQ(injector.crashes_injected(), plan.size() - 1);
+  EXPECT_EQ(metrics.counter_value(
+                obs::labelled("fault.injections", "kind", "host_crash")),
+            plan.size() - 1);
+  // Booked, not simulated: no listener ran and no host went down.
+  EXPECT_EQ(heard, 1u);
+  for (std::size_t i = 1; i < plan.size(); ++i)
+    EXPECT_FALSE(cluster.host(plan[i].host).crashed()) << i;
+  std::vector<double> instants;
+  for (const auto& event : timeline.sorted_events())
+    if (event.name == "host_crash") instants.push_back(event.begin_s);
+  ASSERT_EQ(instants.size(), plan.size() - 1);
+  for (std::size_t i = 0; i < instants.size(); ++i)
+    EXPECT_EQ(instants[i], plan[i].time_s) << i;
+  // Settling again, or through an earlier time, books nothing more.
+  injector.settle_through(bound);
+  injector.settle_through(plan.front().time_s);
+  EXPECT_EQ(injector.crashes_injected(), plan.size() - 1);
 }
 
 TEST(HostCrash, CrashedHostNeverComesBack) {

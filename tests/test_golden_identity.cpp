@@ -5,8 +5,11 @@
 // bitwise identical.  Doubles are spelled as hexfloats so the expected
 // values round-trip exactly.
 //
-// A second test proves run_trials_results is jobs-invariant: fanning the
-// same trials over a 4-worker pool returns bitwise-identical results.
+// A second table pins cells whose trial ends hours before the 24 h run
+// chunk: the simulation may stop at the application's terminal event, but
+// no reported number may move.  A third test proves run_trials_results is
+// jobs-invariant: fanning the same trials over a 4-worker pool returns
+// bitwise-identical results.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -168,6 +171,53 @@ const std::vector<Row>& golden_rows() {
   return kRows;
 }
 
+/// Cells that end long before the first 24 h run chunk does, captured
+/// before the event loop learned to stop at the terminal event.
+///   * "faulty" is golden_faulty unchanged.  Seed 6 finishes after 5 of its
+///     32 planned crashes have fired; the other 27 fall after the makespan
+///     but before 86 400 s and still count in host_crashes.
+///   * "exhausting" is golden::exhausting_config(): the swap techniques
+///     retry a failed transfer, then run out of hosts and give up
+///     (resource_exhausted) with crashes still planned.
+const std::vector<Row>& terminal_event_rows() {
+  static const std::vector<Row> kRows{
+    {"faulty", "swap_greedy", 6, 0x1.470019b7924ebp+12, 25, 68, 0x1.7ba24d1e9ee9ap+10,
+     {32, 20, 20, 0, 0, 1, 0, 0, 0x1.6fec59bda21adp+9}},
+    {"exhausting", "swap_greedy", 7, 0x1.9c7bbe22c12dap+11, 8, 5, 0x1.8d3853edda984p+9,
+     {6, 1, 1, 0, 0, 2, 0, 0, 0x1.7301672e293d2p+9}},
+    {"exhausting", "swap_safe_guard", 4, 0x1.15ce93fc3e6e7p+11, 9, 4, 0x1.4abf46143e55ep+8,
+     {6, 1, 1, 0, 0, 1, 0, 0, 0x1.215c736edff7cp+8}},
+  };
+  return kRows;
+}
+
+simsweep::strategy::RunResult run_terminal_event_cell(const Row& row) {
+  auto cfg = std::string(row.scenario) == "exhausting"
+                 ? golden::exhausting_config()
+                 : golden::config_for(row.scenario);
+  cfg.seed = row.seed;
+  const auto model = golden::model_for("faulty");
+  const auto strategy = golden::make_technique(row.technique);
+  return golden::core::run_single(cfg, *model, *strategy);
+}
+
+void expect_row(const simsweep::strategy::RunResult& result, const Row& row) {
+  // Exact == on purpose: "close enough" would hide a reordered event.
+  EXPECT_EQ(result.makespan_s, row.makespan_s);
+  EXPECT_EQ(result.iterations_completed, row.iterations);
+  EXPECT_EQ(result.adaptations, row.adaptations);
+  EXPECT_EQ(result.adaptation_overhead_s, row.adaptation_overhead_s);
+  EXPECT_TRUE(result.failures == row.failures)
+      << "FailureStats diverged (crashes " << result.failures.host_crashes
+      << " vs " << row.failures.host_crashes << ", transfers_failed "
+      << result.failures.transfers_failed << " vs "
+      << row.failures.transfers_failed << ", abandoned "
+      << result.failures.transfers_abandoned << " vs "
+      << row.failures.transfers_abandoned << ", blacklisted "
+      << result.failures.hosts_blacklisted << " vs "
+      << row.failures.hosts_blacklisted << ")";
+}
+
 }  // namespace
 
 TEST(GoldenIdentity, EveryCellBitwiseIdentical) {
@@ -177,22 +227,21 @@ TEST(GoldenIdentity, EveryCellBitwiseIdentical) {
   for (const Row& row : golden_rows()) {
     SCOPED_TRACE(std::string(row.scenario) + "/" + row.technique + "/seed=" +
                  std::to_string(row.seed));
-    const simsweep::strategy::RunResult result =
-        golden::run_cell(row.scenario, row.technique, row.seed);
-    // Exact == on purpose: "close enough" would hide a reordered event.
-    EXPECT_EQ(result.makespan_s, row.makespan_s);
-    EXPECT_EQ(result.iterations_completed, row.iterations);
-    EXPECT_EQ(result.adaptations, row.adaptations);
-    EXPECT_EQ(result.adaptation_overhead_s, row.adaptation_overhead_s);
-    EXPECT_TRUE(result.failures == row.failures)
-        << "FailureStats diverged (crashes " << result.failures.host_crashes
-        << " vs " << row.failures.host_crashes << ", transfers_failed "
-        << result.failures.transfers_failed << " vs "
-        << row.failures.transfers_failed << ", abandoned "
-        << result.failures.transfers_abandoned << " vs "
-        << row.failures.transfers_abandoned << ", blacklisted "
-        << result.failures.hosts_blacklisted << " vs "
-        << row.failures.hosts_blacklisted << ")";
+    expect_row(golden::run_cell(row.scenario, row.technique, row.seed), row);
+  }
+}
+
+TEST(GoldenIdentity, CellsEndingBeforeTheRunChunkBitwiseIdentical) {
+  for (const Row& row : terminal_event_rows()) {
+    SCOPED_TRACE(std::string(row.scenario) + "/" + row.technique + "/seed=" +
+                 std::to_string(row.seed));
+    const simsweep::strategy::RunResult result = run_terminal_event_cell(row);
+    const bool exhausting = std::string(row.scenario) == "exhausting";
+    EXPECT_EQ(result.finished, !exhausting);
+    EXPECT_EQ(result.resource_exhausted, exhausting);
+    // Every cell ends well inside the first 24 h chunk.
+    EXPECT_LT(result.makespan_s, 86400.0 / 4.0);
+    expect_row(result, row);
   }
 }
 

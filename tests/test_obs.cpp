@@ -414,6 +414,41 @@ TEST(ObsIdentity, MergedMetricsIdenticalAcrossJobs) {
   EXPECT_EQ(chrome(serial), chrome(pooled));
 }
 
+TEST(ObsIdentity, FinishedRunStopsAtItsTerminalEvent) {
+  // golden_faulty swap_greedy seed 6 finishes after ~1.4 h, with 27 of its
+  // 32 planned crashes still ahead.  The event loop ends at the last
+  // iteration; nothing after it is simulated, yet the crash count keeps
+  // covering the whole 24 h run chunk.
+  core::ObsConfig obs_on;
+  obs_on.metrics = true;
+  obs_on.timeline = true;
+  const auto run =
+      golden::run_cell("faulty", "swap_greedy", 6,
+                       simsweep::audit::AuditMode::kOff, obs_on);
+  ASSERT_TRUE(run.finished);
+  ASSERT_TRUE(run.metrics != nullptr);
+  ASSERT_TRUE(run.timeline != nullptr);
+  // The same cell fired 14 310 events when it simulated through 86 400 s.
+  constexpr std::uint64_t kEventsThroughChunkEnd = 14310;
+  EXPECT_LT(run.metrics->counter_value("sim.events_fired"),
+            kEventsThroughChunkEnd);
+  std::size_t load_instants = 0, late_load_instants = 0, crash_instants = 0;
+  for (const auto& event : run.timeline->sorted_events()) {
+    if (event.name == "load" && event.category == "platform") {
+      ++load_instants;
+      if (event.begin_s > run.makespan_s) ++late_load_instants;
+    }
+    if (event.name == "host_crash") ++crash_instants;
+  }
+  EXPECT_GT(load_instants, 0u);
+  EXPECT_EQ(late_load_instants, 0u);
+  EXPECT_EQ(run.failures.host_crashes, 32u);
+  EXPECT_EQ(run.metrics->counter_value(
+                obs::labelled("fault.injections", "kind", "host_crash")),
+            run.failures.host_crashes);
+  EXPECT_EQ(crash_instants, run.failures.host_crashes);
+}
+
 TEST(ObsIdentity, ProfilerRecordsEveryTrial) {
   auto cfg = golden::config_for("calm");
   cfg.seed = 1;
