@@ -1,8 +1,11 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
-// queue throughput, host re-planning, link re-sharing, full small runs.
+// queue throughput, host re-planning, a host's day of load, link
+// re-sharing, full small runs.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -87,6 +90,29 @@ static void BM_HostReplanUnderLoadChurn(benchmark::State& state) {
   state.SetItemsProcessed(5000 * state.iterations());
 }
 BENCHMARK(BM_HostReplanUnderLoadChurn);
+
+// One host under ON/OFF load at dynamism 0.5 for a simulated day.  Busy:
+// a task runs throughout, so every change fires as an event and re-plans
+// it.  Idle: nothing runs, so the host fires nothing and takes the day's
+// changes on demand when its history is read.
+static void BM_HostLoadDay(benchmark::State& state, bool busy) {
+  const simsweep::load::OnOffModel model(
+      simsweep::load::OnOffParams::dynamism(0.5));
+  std::uint64_t seed = 1;
+  std::size_t changes = 0;
+  for (auto _ : state) {
+    sim::Simulator s;
+    pf::Host h(s, 0, 1.0e8, "bench");
+    std::shared_ptr<pf::ComputeTask> task;
+    if (busy) task = h.start_compute(1.0e15, [] {});
+    h.drive(model.make_source(sim::Rng(seed++)));
+    s.run_until(86400.0);
+    changes += h.load_history().size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(changes));
+}
+BENCHMARK_CAPTURE(BM_HostLoadDay, busy, true);
+BENCHMARK_CAPTURE(BM_HostLoadDay, idle, false);
 
 static void BM_LinkReshare(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));

@@ -251,8 +251,7 @@ int run_load_trace(const scenario::ScenarioSpec& spec, std::ostream& out) {
 
   sim::Simulator simulator;
   platform::Host host(simulator, 0, 300.0e6, "traced");
-  auto source = model->make_source(sim::Rng(spec.trace_seed));
-  source->start(simulator, host);
+  host.drive(model->make_source(sim::Rng(spec.trace_seed)));
   simulator.run_until(horizon);
 
   out << "==== " << spec.title << " ====\n";

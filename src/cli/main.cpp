@@ -458,8 +458,7 @@ int cmd_trace(cli::Args& args) {
 
   simsweep::sim::Simulator simulator;
   simsweep::platform::Host host(simulator, 0, 300.0e6, "traced");
-  auto source = model->make_source(simsweep::sim::Rng(seed));
-  source->start(simulator, host);
+  host.drive(model->make_source(simsweep::sim::Rng(seed)));
   simulator.run_until(duration);
 
   std::printf("time,cpu_load\n");

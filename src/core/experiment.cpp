@@ -177,10 +177,9 @@ strategy::RunResult run_single(const ExperimentConfig& config,
   }
   sim::Rng platform_rng(config.seed, /*stream=*/0);
   platform::Cluster cluster(simulator, config.cluster, platform_rng);
-  // Load sources set their initial state synchronously here, before the
-  // initial schedule reads effective speeds.
-  auto sources = load::LoadModel::attach_all(model, simulator, cluster,
-                                             sim::derive_seed(config.seed, 1));
+  // Hosts take their sources' initial states synchronously here, before
+  // the initial schedule reads effective speeds.
+  load::LoadModel::attach_all(model, cluster, sim::derive_seed(config.seed, 1));
   net::SharedLinkNetwork network(simulator, config.cluster.link);
   // Fault streams derive from the trial seed (stream 2; platform is 0 and
   // load is 1).  A disabled spec builds no injector at all, leaving the
@@ -203,16 +202,31 @@ strategy::RunResult run_single(const ExperimentConfig& config,
       .trace_decisions = config.trace_decisions,
   };
   auto exec = strat.launch(ctx);
-  // Load sources generate events forever, so the loop runs in 24 h chunks
-  // up to the horizon, which bounds pathological runs.  The application's
-  // terminal event (the last iteration, or the strategy giving up) stops
-  // the simulator at once, mid-chunk.
+  // Load keeps changing forever, so the loop runs in 24 h chunks up to the
+  // horizon, which bounds pathological runs.  The application's terminal
+  // event (the last iteration, or the strategy giving up) stops the
+  // simulator at once, mid-chunk.  A host whose load is still to change
+  // keeps the run alive even when it queues no event (idle hosts take
+  // their changes on demand), so a deadlock under dynamic load still runs
+  // to the horizon.
+  const auto load_still_changing = [&cluster] {
+    for (std::size_t i = 0; i < cluster.size(); ++i)
+      if (cluster.host(static_cast<platform::HostId>(i)).next_load_change() !=
+          sim::kTimeInfinity)
+        return true;
+    return false;
+  };
   sim::SimTime chunk_end = simulator.now();
   while (!exec->done() && !exec->result().resource_exhausted &&
-         simulator.now() < config.horizon_s && !simulator.idle()) {
+         simulator.now() < config.horizon_s &&
+         (!simulator.idle() || load_still_changing())) {
     chunk_end = std::min(config.horizon_s, simulator.now() + 24.0 * 3600.0);
     simulator.run_until(chunk_end);
   }
+  // Idle hosts hold their changes until read; take them now so histories
+  // and platform metrics cover the whole run.
+  for (std::size_t i = 0; i < cluster.size(); ++i)
+    cluster.host(static_cast<platform::HostId>(i)).catch_up();
   strategy::RunResult result = exec->result();
   if (injector) {
     // host_crashes counts planned crashes through the end of the last chunk,

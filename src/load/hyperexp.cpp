@@ -1,6 +1,11 @@
 #include "load/hyperexp.hpp"
 
+#include <algorithm>
+#include <compare>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
 namespace simsweep::load {
 
@@ -11,31 +16,52 @@ class HyperExpSource final : public LoadSource {
   HyperExpSource(const HyperExpParams& params, sim::Rng rng)
       : params_(params), rng_(rng) {}
 
-  void start(sim::Simulator& simulator, platform::Host& host) override {
-    simulator_ = &simulator;
-    host_ = &host;
-    host_->set_external_load(0);
-    schedule_arrival();
+  LoadState begin(sim::SimTime now) override {
+    arrival_ = {now + gap(), draws_++};
+    return state();
+  }
+
+  [[nodiscard]] sim::SimTime next_change() const override {
+    return next().time;
+  }
+
+  LoadState advance() override {
+    const Pending due = next();
+    if (departures_.empty() || due != departures_.front()) {
+      arrive(due.time);
+      arrival_ = {due.time + gap(), draws_++};
+    } else {
+      std::pop_heap(departures_.begin(), departures_.end(), std::greater<>{});
+      departures_.pop_back();
+      --alive_;
+    }
+    return state();
   }
 
  private:
-  void schedule_arrival() {
-    const double gap = rng_.uniform(0.0, 2.0 * params_.mean_interarrival_s);
-    simulator_->after(gap, [this] {
-      arrive();
-      schedule_arrival();
-    });
+  /// A pending arrival or departure, ordered by time, then by when it was
+  /// drawn.
+  struct Pending {
+    sim::SimTime time;
+    std::uint64_t draw;
+    friend auto operator<=>(const Pending&, const Pending&) = default;
+  };
+
+  [[nodiscard]] Pending next() const {
+    return departures_.empty() ? arrival_
+                               : std::min(arrival_, departures_.front());
   }
 
-  void arrive() {
+  [[nodiscard]] double gap() {
+    return rng_.uniform(0.0, 2.0 * params_.mean_interarrival_s);
+  }
+
+  void arrive(sim::SimTime now) {
     const double lifetime = sample_lifetime();
     if (lifetime <= 0.0) return;  // degenerate branch: exits immediately
     ++alive_;
-    host_->set_external_load(alive_);
-    simulator_->after(lifetime, [this] {
-      --alive_;
-      host_->set_external_load(alive_);
-    });
+    departures_.push_back({now + lifetime, draws_++});
+    std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
   }
 
   [[nodiscard]] double sample_lifetime() {
@@ -43,10 +69,13 @@ class HyperExpSource final : public LoadSource {
     return rng_.exponential_mean(params_.mean_lifetime_s / params_.long_prob);
   }
 
+  [[nodiscard]] LoadState state() const { return {alive_, true}; }
+
   HyperExpParams params_;
   sim::Rng rng_;
-  sim::Simulator* simulator_ = nullptr;
-  platform::Host* host_ = nullptr;
+  Pending arrival_{sim::kTimeInfinity, 0};
+  std::vector<Pending> departures_;  ///< min-heap
+  std::uint64_t draws_ = 0;
   int alive_ = 0;
 };
 

@@ -15,17 +15,15 @@ std::string describe_number(double value) {
   return std::string(buf, ptr);
 }
 
-std::vector<std::unique_ptr<LoadSource>> LoadModel::attach_all(
-    const LoadModel& model, sim::Simulator& simulator,
-    platform::Cluster& cluster, std::uint64_t root_seed) {
-  std::vector<std::unique_ptr<LoadSource>> sources;
-  sources.reserve(cluster.size());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    auto source = model.make_source(sim::Rng(root_seed, i));
-    source->start(simulator, cluster.host(static_cast<platform::HostId>(i)));
-    sources.push_back(std::move(source));
-  }
-  return sources;
+void LoadSource::start(sim::Simulator&, platform::Host& host) {
+  host.drive(*this);
+}
+
+void LoadModel::attach_all(const LoadModel& model, platform::Cluster& cluster,
+                           std::uint64_t root_seed) {
+  for (std::size_t i = 0; i < cluster.size(); ++i)
+    cluster.host(static_cast<platform::HostId>(i))
+        .drive(model.make_source(sim::Rng(root_seed, i)));
 }
 
 }  // namespace simsweep::load

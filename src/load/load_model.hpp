@@ -1,34 +1,24 @@
 // External CPU load models.
 //
-// A LoadSource drives one host's external competing-process count over
-// simulated time by scheduling events on the simulator.  The paper's two
-// models are implemented (ON/OFF Markov sources and a degenerate
-// hyperexponential lifetime model), plus constant load, trace replay and
-// aggregation of ON/OFF sources, which the paper lists as future work.
+// A LoadModel builds one LoadSource (load/load_source.hpp) per host; the
+// host drives it.  The paper's two models are implemented (ON/OFF Markov
+// sources and a degenerate hyperexponential lifetime model), plus constant
+// load, trace replay and aggregation of ON/OFF sources, which the paper
+// lists as future work.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
-#include "platform/host.hpp"
+#include "load/load_source.hpp"
 #include "simcore/rng.hpp"
-#include "simcore/simulator.hpp"
 
 namespace simsweep::platform {
 class Cluster;
 }
 
 namespace simsweep::load {
-
-/// Drives the external load of a single host.
-class LoadSource {
- public:
-  virtual ~LoadSource() = default;
-
-  /// Begins generating load events for `host`.  Must be called once, before
-  /// the simulation runs past time 0.
-  virtual void start(sim::Simulator& simulator, platform::Host& host) = 0;
-};
 
 /// Abstract factory: builds one independent source per host, each with its
 /// own derived random stream so platform size does not perturb the draws of
@@ -46,12 +36,10 @@ class LoadModel {
   /// whose digests match really did draw from the same load process.
   [[nodiscard]] virtual std::string describe() const = 0;
 
-  /// Attaches a fresh source to every host of a cluster.  `root_seed`
-  /// derives one stream per host id.  Returns the sources; callers keep them
-  /// alive for the duration of the simulation.
-  static std::vector<std::unique_ptr<LoadSource>> attach_all(
-      const LoadModel& model, sim::Simulator& simulator,
-      platform::Cluster& cluster, std::uint64_t root_seed);
+  /// Has every host of a cluster drive a fresh source of its own.
+  /// `root_seed` derives one stream per host id.
+  static void attach_all(const LoadModel& model, platform::Cluster& cluster,
+                         std::uint64_t root_seed);
 };
 
 /// Shortest round-trip rendering of `value` for describe() strings, so

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace simsweep::load {
@@ -13,9 +14,14 @@ namespace {
 class ConstantSource final : public LoadSource {
  public:
   explicit ConstantSource(int competitors) : competitors_(competitors) {}
-  void start(sim::Simulator&, platform::Host& host) override {
-    host.set_external_load(competitors_);
+
+  LoadState begin(sim::SimTime) override { return {competitors_, true}; }
+
+  [[nodiscard]] sim::SimTime next_change() const override {
+    return sim::kTimeInfinity;
   }
+
+  LoadState advance() override { return {competitors_, true}; }
 
  private:
   int competitors_;
@@ -46,33 +52,42 @@ class TraceSource final : public LoadSource {
               double phase)
       : trace_(trace), period_(period), phase_(phase) {}
 
-  void start(sim::Simulator& simulator, platform::Host& host) override {
-    simulator_ = &simulator;
-    host_ = &host;
+  LoadState begin(sim::SimTime now) override {
     // Position the cursor at the first sample at or after the phase; the
     // value in effect at the phase is that of the preceding sample.
     index_ = 0;
     while (index_ < trace_->size() && (*trace_)[index_].time <= phase_) ++index_;
     const double initial =
         index_ == 0 ? trace_->back().value : (*trace_)[index_ - 1].value;
-    host_->set_external_load(static_cast<int>(std::lround(initial)));
-    offset_ = simulator.now() - phase_;  // trace time + offset == sim time
-    schedule_next();
+    offset_ = now - phase_;  // trace time + offset == sim time
+    aim(now);
+    return state(initial);
+  }
+
+  [[nodiscard]] sim::SimTime next_change() const override { return next_; }
+
+  LoadState advance() override {
+    const double value = (*trace_)[index_].value;
+    ++index_;
+    aim(next_);
+    return state(value);
   }
 
  private:
-  void schedule_next() {
-    if (index_ >= trace_->size()) {  // wrap to the next period
+  /// Aims at the cursor's sample from `now`, the time of the previous
+  /// change, wrapping to the next period at the trace's end.  A sample
+  /// already behind `now` is taken at `now`.
+  void aim(sim::SimTime now) {
+    if (index_ >= trace_->size()) {
       index_ = 0;
       offset_ += period_;
     }
-    const sim::Sample& s = (*trace_)[index_];
-    const double when = s.time + offset_;
-    simulator_->after(std::max(0.0, when - simulator_->now()), [this, s] {
-      host_->set_external_load(static_cast<int>(std::lround(s.value)));
-      ++index_;
-      schedule_next();
-    });
+    const double when = (*trace_)[index_].time + offset_;
+    next_ = now + std::max(0.0, when - now);
+  }
+
+  [[nodiscard]] static LoadState state(double value) {
+    return {static_cast<int>(std::lround(value)), true};
   }
 
   const std::vector<sim::Sample>* trace_;
@@ -80,8 +95,7 @@ class TraceSource final : public LoadSource {
   double phase_;
   double offset_ = 0.0;
   std::size_t index_ = 0;
-  sim::Simulator* simulator_ = nullptr;
-  platform::Host* host_ = nullptr;
+  sim::SimTime next_ = sim::kTimeInfinity;
 };
 
 }  // namespace
@@ -128,21 +142,28 @@ class CompositeOnOffSource final : public LoadSource {
   CompositeOnOffSource(const std::vector<OnOffParams>& params, sim::Rng rng) {
     parts_.reserve(params.size());
     for (std::size_t i = 0; i < params.size(); ++i)
-      parts_.push_back(Part{params[i], rng.split(i), false});
+      parts_.push_back(Part{params[i], rng.split(i), false, 0.0, 0});
   }
 
-  void start(sim::Simulator& simulator, platform::Host& host) override {
-    simulator_ = &simulator;
-    host_ = &host;
-    int on_count = 0;
+  LoadState begin(sim::SimTime now) override {
     for (Part& part : parts_) {
       const OnOffParams& p = part.params;
       const double pi = p.p + p.q > 0.0 ? p.p / (p.p + p.q) : 0.0;
       part.on = p.stationary_start && part.rng.bernoulli(pi);
-      if (part.on) ++on_count;
-      schedule_next(part);
+      draw_next(part, now);
     }
-    host_->set_external_load(on_count);
+    return state();
+  }
+
+  [[nodiscard]] sim::SimTime next_change() const override {
+    return parts_[due_].next;
+  }
+
+  LoadState advance() override {
+    Part& part = parts_[due_];
+    part.on = !part.on;
+    draw_next(part, part.next);
+    return state();
   }
 
  private:
@@ -150,26 +171,35 @@ class CompositeOnOffSource final : public LoadSource {
     OnOffParams params;
     sim::Rng rng;
     bool on;
+    sim::SimTime next;   ///< time of this part's next flip
+    std::uint64_t draw;  ///< when that flip was drawn: breaks time ties
   };
 
-  void schedule_next(Part& part) {
+  /// Draws `part`'s next flip from `now` and re-elects the due part.
+  void draw_next(Part& part, sim::SimTime now) {
     const double exit_p = part.on ? part.params.q : part.params.p;
-    const double sojourn =
-        sample_geometric_sojourn(part.rng, exit_p, part.params.step_s);
-    if (sojourn == sim::kTimeInfinity) return;
-    simulator_->after(sojourn, [this, &part] {
-      part.on = !part.on;
-      int on_count = 0;
-      for (const Part& q : parts_)
-        if (q.on) ++on_count;
-      host_->set_external_load(on_count);
-      schedule_next(part);
-    });
+    part.next =
+        now + sample_geometric_sojourn(part.rng, exit_p, part.params.step_s);
+    part.draw = draws_++;
+    due_ = 0;
+    for (std::size_t i = 1; i < parts_.size(); ++i) {
+      const Part& q = parts_[i];
+      const Part& best = parts_[due_];
+      if (q.next < best.next || (q.next == best.next && q.draw < best.draw))
+        due_ = i;
+    }
+  }
+
+  [[nodiscard]] LoadState state() const {
+    int on_count = 0;
+    for (const Part& part : parts_)
+      if (part.on) ++on_count;
+    return {on_count, true};
   }
 
   std::vector<Part> parts_;
-  sim::Simulator* simulator_ = nullptr;
-  platform::Host* host_ = nullptr;
+  std::size_t due_ = 0;  ///< part whose flip comes next
+  std::uint64_t draws_ = 0;
 };
 
 }  // namespace

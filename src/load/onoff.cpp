@@ -38,34 +38,34 @@ class OnOffSource final : public LoadSource {
         leave_off_(params.p, params.step_s),
         leave_on_(params.q, params.step_s) {}
 
-  void start(sim::Simulator& simulator, platform::Host& host) override {
-    simulator_ = &simulator;
-    host_ = &host;
+  LoadState begin(sim::SimTime now) override {
     const double pi =
         params_.p + params_.q > 0.0 ? params_.p / (params_.p + params_.q) : 0.0;
     on_ = params_.stationary_start && rng_.bernoulli(pi);
-    host_->set_external_load(on_ ? 1 : 0);
-    schedule_next();
+    next_ = now + sojourn();
+    return state();
+  }
+
+  [[nodiscard]] sim::SimTime next_change() const override { return next_; }
+
+  LoadState advance() override {
+    on_ = !on_;
+    next_ += sojourn();  // +infinity once absorbed in this state
+    return state();
   }
 
  private:
-  void schedule_next() {
-    const double sojourn = (on_ ? leave_on_ : leave_off_).sample(rng_);
-    if (sojourn == sim::kTimeInfinity) return;  // absorbed in this state
-    simulator_->after(sojourn, [this] {
-      on_ = !on_;
-      host_->set_external_load(on_ ? 1 : 0);
-      schedule_next();
-    });
+  [[nodiscard]] double sojourn() {
+    return (on_ ? leave_on_ : leave_off_).sample(rng_);
   }
+  [[nodiscard]] LoadState state() const { return {on_ ? 1 : 0, true}; }
 
   OnOffParams params_;
   sim::Rng rng_;
   GeometricSojourn leave_off_;  ///< exit probability p
   GeometricSojourn leave_on_;   ///< exit probability q
-  sim::Simulator* simulator_ = nullptr;
-  platform::Host* host_ = nullptr;
   bool on_ = false;
+  sim::SimTime next_ = sim::kTimeInfinity;
 };
 
 }  // namespace

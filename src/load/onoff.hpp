@@ -4,7 +4,7 @@
 // each state: every `step_s` seconds an OFF host becomes loaded with
 // probability p and an ON host becomes unloaded with probability q.  Sojourn
 // times are therefore geometric; we sample them directly instead of stepping,
-// so each source emits one event per state change rather than one per step.
+// so each source yields one change per state change rather than one per step.
 //
 // ON means one external compute-bound competitor (the paper simulates a
 // single competing process per host under this model).

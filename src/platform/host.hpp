@@ -11,6 +11,15 @@
 // and at 0 while the host is offline.  The Host itself keeps only what is
 // specific to a workstation: its load history, the availability it reports
 // and the observability of load changes.
+//
+// The host drives its load source (load/load_source.hpp).  While something
+// watches every change as it happens — a running task, whose progress the
+// load sets, or an attached timeline or trace recorder — it keeps one
+// simulator event pending at the source's next change and re-arms it after
+// each change.  Otherwise it fires nothing: every load-state accessor and
+// mutator first takes the changes due by now, each recorded at its own
+// change time.  A spare host that runs nothing therefore costs no events,
+// and both ways leave the same history, metrics and state.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "load/load_source.hpp"
 #include "simcore/fair_share.hpp"
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
@@ -61,24 +71,49 @@ class Host {
   /// Peak speed in flop/s with no competition.
   [[nodiscard]] double peak_speed() const noexcept { return peak_speed_; }
 
+  /// Has this host drive `source`: applies its initial state and every
+  /// change due by now, then every later change (see the file comment).
+  /// At most one source per host.
+  void drive(std::unique_ptr<load::LoadSource> source);
+
+  /// drive() for a source the caller keeps alive while the host is in use.
+  void drive(load::LoadSource& source);
+
+  /// Time of the driven source's next load change; +infinity without a
+  /// source or once it is absorbed.
+  [[nodiscard]] SimTime next_load_change() const noexcept {
+    return next_change_;
+  }
+
+  /// Takes the load changes due by now that have not been taken yet.  The
+  /// accessors below call it; it is public so a run can bring its hosts up
+  /// to date when it ends.  Logically const: it only materialises the
+  /// state the host is already in (and no Host is ever defined const).
+  void catch_up() const {
+    if (!armed_ && next_change_ <= simulator_.now())
+      const_cast<Host*>(this)->take_due_changes();
+  }
+
   /// Number of external competing compute-bound processes right now.
-  [[nodiscard]] int external_load() const noexcept { return external_load_; }
+  [[nodiscard]] int external_load() const {
+    catch_up();
+    return external_load_;
+  }
 
   /// Fraction of peak speed an application task would receive if it were the
   /// only app task on the host: 1 / (1 + external_load), or 0 while the
   /// host is offline (reclaimed by its owner).
-  [[nodiscard]] double availability() const noexcept {
-    if (!online_) return 0.0;
-    return 1.0 / (1.0 + static_cast<double>(external_load_));
+  [[nodiscard]] double availability() const {
+    catch_up();
+    return current_availability();
   }
 
   /// Effective speed (flop/s) a single app task would get right now.
-  [[nodiscard]] double effective_speed() const noexcept {
+  [[nodiscard]] double effective_speed() const {
     return peak_speed_ * availability();
   }
 
   /// Sets the external competing-process count; re-plans running tasks.
-  /// Called by load models.
   void set_external_load(int competitors);
 
   /// Marks the host reclaimed by its owner (offline) or available again.
@@ -88,12 +123,15 @@ class Host {
   /// Ignored once the host has crashed — a dead machine does not come back.
   void set_online(bool online);
 
-  [[nodiscard]] bool online() const noexcept { return online_; }
+  [[nodiscard]] bool online() const {
+    catch_up();
+    return online_;
+  }
 
   /// Permanent failure (fault injection): the host goes offline forever and
   /// any process state it held is lost.  Unlike graceful reclamation
   /// (set_online(false)), a crashed host never returns; subsequent
-  /// set_online(true) calls from load models are no-ops.
+  /// changes back online from its load source are ignored.
   void set_crashed();
 
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
@@ -109,13 +147,15 @@ class Host {
   }
 
   /// Optional availability trace: when a recorder is attached the host logs
-  /// availability() on every load change under series "avail.<name>".
+  /// availability() on every load change under series "avail.<name>", and
+  /// fires its load changes as events.
   void attach_trace(sim::TraceRecorder* recorder);
 
   /// Recorded load history since construction: sample values are the
   /// competing-process count while online and kOfflineMarker (-1) while the
   /// host is reclaimed.  Used by performance-history estimators.
-  [[nodiscard]] const std::vector<sim::Sample>& load_history() const noexcept {
+  [[nodiscard]] const std::vector<sim::Sample>& load_history() const {
+    catch_up();
     return load_history_;
   }
 
@@ -133,7 +173,22 @@ class Host {
   [[nodiscard]] double mean_availability(SimTime t0, SimTime t1) const;
 
  private:
-  void record_state();
+  /// Availability of the state as it stands, without catching up.
+  [[nodiscard]] double current_availability() const noexcept {
+    if (!online_) return 0.0;
+    return 1.0 / (1.0 + static_cast<double>(external_load_));
+  }
+
+  /// Applies a load state the source reached at time `at`.
+  void apply(load::LoadState state, SimTime at);
+  void apply_competitors(int competitors, SimTime at);
+  void apply_online(bool online, SimTime at);
+  /// Takes the source's next change.
+  void take_next_change();
+  void take_due_changes();
+  /// Keeps one event pending at the next change while someone watches.
+  void arm_if_watched();
+  void record_state(SimTime at);
   /// Hands the current capacity and competitor count to the CPU share.
   void reshare();
 
@@ -146,6 +201,11 @@ class Host {
   bool crashed_ = false;
   std::vector<sim::Sample> load_history_;
   sim::TraceRecorder* trace_ = nullptr;
+
+  std::unique_ptr<load::LoadSource> owned_source_;
+  load::LoadSource* source_ = nullptr;
+  SimTime next_change_ = sim::kTimeInfinity;  ///< cached source_->next_change()
+  bool armed_ = false;  ///< an event is pending at next_change_
 
   // Cached observability handles: record_state fires on every load change
   // (the hottest instrumented path), and the registry/tracer are fixed for

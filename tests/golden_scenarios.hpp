@@ -23,6 +23,9 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "load/hyperexp.hpp"
+#include "load/misc_models.hpp"
+#include "load/onoff.hpp"
 #include "scenario/scenario.hpp"
 #include "strategy/strategy.hpp"
 
@@ -100,6 +103,32 @@ inline core::ExperimentConfig exhausting_config() {
 inline std::shared_ptr<const load::LoadModel> model_for(
     const std::string& scenario) {
   return scn::make_load_model(spec_for(scenario).load);
+}
+
+/// Load models no golden_*.json covers, by name: trace replay, composite
+/// ON/OFF and hyperexponential lifetimes.
+inline std::unique_ptr<load::LoadModel> extra_model(const std::string& name) {
+  if (name == "trace") {
+    // Off-grid sample times and a random phase per host, so the replay's
+    // `now + max(0, when - now)` arithmetic is exercised.
+    return std::make_unique<load::TraceModel>(
+        std::vector<simsweep::sim::Sample>{{0.0, 0.0},
+                                           {130.25, 1.0},
+                                           {171.5, 2.0},
+                                           {460.0, 0.0},
+                                           {812.75, 1.0}},
+        1000.0, /*random_phase=*/true);
+  }
+  if (name == "composite") {
+    // Two parts on the same 100 s grid tie often; one on a 70 s grid.
+    return std::make_unique<load::CompositeOnOffModel>(
+        std::vector<load::OnOffParams>{{.p = 0.3, .q = 0.3, .step_s = 100.0},
+                                       {.p = 0.2, .q = 0.4, .step_s = 100.0},
+                                       {.p = 0.1, .q = 0.5, .step_s = 70.0}});
+  }
+  if (name == "hyperexp")
+    return std::make_unique<load::HyperExpModel>(load::HyperExpParams{});
+  throw std::invalid_argument("golden: unknown extra model " + name);
 }
 
 inline std::unique_ptr<strat::Strategy> make_technique(

@@ -10,12 +10,23 @@
 // no reported number may move.  A third test proves run_trials_results is
 // jobs-invariant: fanning the same trials over a 4-worker pool returns
 // bitwise-identical results.
+//
+// A fourth table pins the trace-replay and composite ON/OFF models on the
+// spares-heavy golden_calm platform, and a deadlocked run under ON/OFF
+// load: hosts whose load is caught up on demand (no running task) must
+// report exactly what event-driven hosts did.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "golden_scenarios.hpp"
+#include "strategy/executor.hpp"
+#include "strategy/schedule.hpp"
+
+namespace load = simsweep::load;
 
 namespace {
 
@@ -201,6 +212,57 @@ simsweep::strategy::RunResult run_terminal_event_cell(const Row& row) {
   return golden::core::run_single(cfg, *model, *strategy);
 }
 
+/// Captured before idle hosts caught up their load on demand; every cell
+/// finishes.
+const std::vector<Row>& extra_model_rows() {
+  static const std::vector<Row> kRows{
+    {"trace", "none", 1, 0x1.023f66216cfdcp+12, 25, 0, 0x0p+0,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"trace", "none", 2, 0x1.25e4f60acf472p+12, 25, 0, 0x0p+0,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"trace", "swap_greedy", 1, 0x1.3bfe37c517722p+12, 25, 64, 0x1.179ef11e2c82ap+10,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"trace", "swap_greedy", 2, 0x1.9bc732d2ed71ep+12, 25, 76, 0x1.4c0cb550f6da4p+10,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"composite", "none", 1, 0x1.311b29869993ap+12, 25, 0, 0x0p+0,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"composite", "none", 2, 0x1.76bdee70823d7p+12, 25, 0, 0x0p+0,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"composite", "swap_greedy", 1, 0x1.904ab53dd6de7p+12, 25, 72, 0x1.3a92ca57a787p+10,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+    {"composite", "swap_greedy", 2, 0x1.70ca1668ef56dp+12, 25, 69, 0x1.2d7758e21965ap+10,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0x0p+0}},
+  };
+  return kRows;
+}
+
+simsweep::strategy::RunResult run_extra_model_cell(const Row& row) {
+  auto cfg = golden::config_for("calm");
+  cfg.seed = row.seed;
+  const auto model = golden::extra_model(row.scenario);
+  const auto strategy = golden::make_technique(row.technique);
+  return golden::core::run_single(cfg, *model, *strategy);
+}
+
+/// A strategy whose boundary hook never resumes: after the first iteration
+/// only the load sources have anything left to do.
+class StallingStrategy final : public simsweep::strategy::Strategy {
+ public:
+  [[nodiscard]] std::string name() const override { return "STALL"; }
+  [[nodiscard]] std::unique_ptr<simsweep::strategy::IterativeExecution> launch(
+      simsweep::strategy::StrategyContext& ctx) override {
+    namespace strat = simsweep::strategy;
+    auto alloc = strat::pick_allocation(ctx.cluster, ctx.spec.active_processes,
+                                        0, ctx.initial_schedule);
+    auto exec = std::make_unique<strat::IterativeExecution>(
+        ctx.simulator, ctx.cluster, ctx.network, ctx.spec, alloc.active,
+        simsweep::app::WorkPartition::equal(ctx.spec.active_processes),
+        [](strat::IterativeExecution&, std::function<void()>) {});
+    exec->start(0.0);
+    return exec;
+  }
+};
+
 void expect_row(const simsweep::strategy::RunResult& result, const Row& row) {
   // Exact == on purpose: "close enough" would hide a reordered event.
   EXPECT_EQ(result.makespan_s, row.makespan_s);
@@ -271,4 +333,34 @@ TEST(GoldenIdentity, ParallelTrialsMatchSerial) {
       EXPECT_TRUE(serial[t].failures == pooled[t].failures);
     }
   }
+}
+
+TEST(GoldenIdentity, TraceAndCompositeModelCellsBitwiseIdentical) {
+  for (const Row& row : extra_model_rows()) {
+    SCOPED_TRACE(std::string(row.scenario) + "/" + row.technique + "/seed=" +
+                 std::to_string(row.seed));
+    expect_row(run_extra_model_cell(row), row);
+  }
+}
+
+TEST(GoldenIdentity, DeadlockUnderOnOffLoadRunsToTheHorizon) {
+  // The load sources keep changing the spares' load after the application
+  // deadlocked, so the run is a horizon timeout, not a stall.
+  auto cfg = golden::config_for("calm");
+  cfg.cluster.host_count = 8;
+  cfg.spare_count = 4;
+  cfg.horizon_s = 2.0 * 86400.0 + 50.0;
+  cfg.seed = 5;
+  cfg.obs.metrics = true;
+  StallingStrategy stall;
+  const auto r = golden::core::run_single(cfg, *golden::model_for("calm"),
+                                          stall);
+  EXPECT_FALSE(r.finished);
+  EXPECT_FALSE(r.stalled);
+  EXPECT_EQ(r.makespan_s, cfg.horizon_s);
+  EXPECT_EQ(r.iterations_completed, 1u);
+  ASSERT_TRUE(r.metrics != nullptr);
+  // Every change through the horizon is in the history, whether a host
+  // fired it or caught it up at the end of the run.
+  EXPECT_EQ(r.metrics->counter_value("platform.load_changes"), 4213u);
 }

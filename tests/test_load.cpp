@@ -1,14 +1,22 @@
 // Unit and statistical tests for the CPU load models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "audit/auditor.hpp"
 #include "load/hyperexp.hpp"
 #include "load/load_model.hpp"
 #include "load/misc_models.hpp"
 #include "load/onoff.hpp"
+#include "load/reclamation.hpp"
+#include "obs/timeline.hpp"
 #include "platform/cluster.hpp"
 #include "simcore/simulator.hpp"
 
@@ -24,8 +32,7 @@ double observed_mean_load(const load::LoadModel& model, double duration,
                           std::uint64_t seed) {
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto source = model.make_source(sim::Rng(seed));
-  source->start(s, h);
+  h.drive(model.make_source(sim::Rng(seed)));
   s.run_until(duration);
   double area = 0.0;
   double value = 0.0;
@@ -97,8 +104,7 @@ TEST(OnOffModel, ZeroDynamismNeverChangesState) {
   load::OnOffModel m(load::OnOffParams::dynamism(0.0));
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(1));
-  src->start(s, h);
+  h.drive(m.make_source(sim::Rng(1)));
   s.run_until(100000.0);
   EXPECT_EQ(h.load_history().size(), 1u);  // only the construction sample
   EXPECT_EQ(h.external_load(), 0);
@@ -111,8 +117,7 @@ TEST(OnOffModel, DynamismOneFlipsEveryStep) {
   load::OnOffModel m(params);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(1));
-  src->start(s, h);
+  h.drive(m.make_source(sim::Rng(1)));
   s.run_until(100.0);
   // One transition per 10 s step.
   EXPECT_GE(h.load_history().size(), 9u);
@@ -160,8 +165,7 @@ TEST(HyperExpModel, AllowsMultipleSimultaneousCompetitors) {
   load::HyperExpModel m(params);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(5));
-  src->start(s, h);
+  h.drive(m.make_source(sim::Rng(5)));
   s.run_until(20000.0);
   int max_load = 0;
   for (const sim::Sample& sample : h.load_history())
@@ -193,8 +197,7 @@ TEST(TraceModel, ReplaysAndWraps) {
   load::TraceModel m(trace, 20.0, /*random_phase=*/false);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(1));
-  src->start(s, h);
+  h.drive(m.make_source(sim::Rng(1)));
   std::vector<std::pair<double, int>> seen;
   s.run_until(45.0);
   // Load at 5 -> 0, 15 -> 1, 25 -> 0, 35 -> 1.
@@ -221,8 +224,7 @@ TEST(CompositeOnOffModel, AggregatesSources) {
   load::CompositeOnOffModel m(parts);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = m.make_source(sim::Rng(2));
-  src->start(s, h);
+  h.drive(m.make_source(sim::Rng(2)));
   s.run_until(5000.0);
   int max_load = 0;
   for (const sim::Sample& sample : h.load_history())
@@ -240,8 +242,10 @@ TEST(LoadModelAttachAll, DrivesEveryHostIndependently) {
   spec.host_count = 8;
   pf::Cluster cluster(s, spec, cluster_rng);
   load::OnOffModel m(load::OnOffParams{.p = 0.5, .q = 0.5, .step_s = 10.0});
-  auto sources = load::LoadModel::attach_all(m, s, cluster, 99);
-  EXPECT_EQ(sources.size(), 8u);
+  load::LoadModel::attach_all(m, cluster, 99);
+  for (std::size_t i = 0; i < cluster.size(); ++i)
+    EXPECT_LT(cluster.host(static_cast<pf::HostId>(i)).next_load_change(),
+              sim::kTimeInfinity);
   s.run_until(1000.0);
   // With independent streams, not every host can have an identical history.
   bool any_difference = false;
@@ -250,4 +254,151 @@ TEST(LoadModelAttachAll, DrivesEveryHostIndependently) {
     if (cluster.host(static_cast<pf::HostId>(i)).load_history() != first)
       any_difference = true;
   EXPECT_TRUE(any_difference);
+}
+
+// ------------------------------------------- events versus on-demand load
+
+namespace {
+
+/// How the lone host under test meets its load changes.
+enum class Drive {
+  kBusy,      ///< a task runs throughout: every change fires as an event
+  kIdle,      ///< nothing runs: changes are taken when the host is read
+  kMidRun,    ///< idle, then a task from 20 000 s until it completes
+  kTimeline,  ///< idle but watched by a timeline: changes fire as events
+};
+
+struct Observed {
+  std::vector<sim::Sample> history;
+  std::vector<double> availability;  ///< at each probe time
+  std::vector<int> competitors;      ///< at each probe time
+  std::vector<double> window_means;
+  std::uint64_t events = 0;
+};
+
+constexpr double kDay = 86400.0;
+constexpr double kTaskStart = 20000.0;
+
+Observed observe(const load::LoadModel& model, Drive drive,
+                 const std::vector<double>& probes) {
+  sim::Simulator s;
+  // Fail-fast: any invariant the host breaks throws out of the test.
+  simsweep::audit::InvariantAuditor auditor(simsweep::audit::AuditMode::kFail);
+  s.set_auditor(&auditor);
+  simsweep::obs::TimelineTracer timeline;
+  if (drive == Drive::kTimeline) s.set_timeline(&timeline);
+  pf::Host h(s, 0, 100.0, "h");
+  std::shared_ptr<pf::ComputeTask> task;
+  if (drive == Drive::kBusy) task = h.start_compute(1.0e12, [] {});
+  // The timeline run drives a source it owns itself, through start().
+  const auto source = model.make_source(sim::Rng(11));
+  if (drive == Drive::kTimeline)
+    source->start(s, h);
+  else
+    h.drive(model.make_source(sim::Rng(11)));
+  Observed out;
+  for (const double t : probes) {
+    if (drive == Drive::kMidRun && !task && t >= kTaskStart) {
+      s.run_until(kTaskStart);
+      task = h.start_compute(100.0 * 5000.0, [] {});  // ~5 000 s or more
+    }
+    s.run_until(t);
+    out.availability.push_back(h.availability());
+    out.competitors.push_back(h.external_load());
+  }
+  if (drive == Drive::kMidRun) {
+    EXPECT_FALSE(task->active());
+  }
+  out.history = h.load_history();
+  for (std::size_t i = 0; i + 1 < probes.size(); i += 7)
+    out.window_means.push_back(h.mean_availability(probes[i], probes[i + 1]));
+  out.window_means.push_back(h.mean_availability(0.0, kDay));
+  out.window_means.push_back(h.mean_availability(3600.0, 3600.0));
+  out.events = s.events_fired();
+  return out;
+}
+
+/// Every change time of an undisturbed day, each midpoint between two of
+/// them, and the task's start.
+std::vector<double> probe_times(const load::LoadModel& model) {
+  sim::Simulator s;
+  pf::Host h(s, 0, 100.0, "h");
+  h.drive(model.make_source(sim::Rng(11)));
+  s.run_until(kDay);
+  std::vector<double> times{kTaskStart, kDay};
+  double previous = 0.0;
+  for (const sim::Sample& sample : h.load_history()) {
+    times.push_back(sample.time);
+    times.push_back(0.5 * (previous + sample.time));
+    previous = sample.time;
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  return times;
+}
+
+std::vector<std::pair<std::string, std::shared_ptr<const load::LoadModel>>>
+every_model() {
+  const auto hyperexp =
+      std::make_shared<load::HyperExpModel>(load::HyperExpParams{});
+  const auto owner_away = std::make_shared<load::ReclamationModel>(
+      hyperexp, load::ReclamationParams{.mean_available_s = 3000.0,
+                                        .mean_reclaimed_s = 900.0});
+  return {
+      {"onoff", std::make_shared<load::OnOffModel>(
+                    load::OnOffParams::dynamism(0.5))},
+      {"hyperexp", hyperexp},
+      {"constant", std::make_shared<load::ConstantModel>(2)},
+      {"trace", std::make_shared<load::TraceModel>(
+                    std::vector<sim::Sample>{{0.0, 0.0},
+                                             {130.25, 1.0},
+                                             {171.5, 2.0},
+                                             {460.0, 0.0},
+                                             {812.75, 1.0}},
+                    1000.0)},
+      {"composite",
+       std::make_shared<load::CompositeOnOffModel>(
+           std::vector<load::OnOffParams>{
+               {.p = 0.3, .q = 0.3, .step_s = 100.0},
+               {.p = 0.2, .q = 0.4, .step_s = 100.0},
+               {.p = 0.1, .q = 0.5, .step_s = 70.0}})},
+      {"reclaim", owner_away},
+      {"reclaim_nested_absent_start",
+       std::make_shared<load::ReclamationModel>(
+           owner_away, load::ReclamationParams{.mean_available_s = 5000.0,
+                                               .mean_reclaimed_s = 500.0,
+                                               .start_available = false})},
+  };
+}
+
+}  // namespace
+
+TEST(LoadDrive, OnDemandHostMatchesEventDrivenHostForEveryModel) {
+  for (const auto& [name, model] : every_model()) {
+    SCOPED_TRACE(name);
+    const std::vector<double> probes = probe_times(*model);
+    const Observed busy = observe(*model, Drive::kBusy, probes);
+    for (const Drive drive : {Drive::kIdle, Drive::kMidRun, Drive::kTimeline}) {
+      SCOPED_TRACE(static_cast<int>(drive));
+      const Observed other = observe(*model, drive, probes);
+      EXPECT_EQ(other.history, busy.history);
+      EXPECT_EQ(other.availability, busy.availability);
+      EXPECT_EQ(other.competitors, busy.competitors);
+      EXPECT_EQ(other.window_means, busy.window_means);
+    }
+  }
+}
+
+TEST(LoadDrive, IdleHostFiresNoLoadEvents) {
+  load::OnOffModel m(load::OnOffParams::dynamism(0.5));
+  const std::vector<double> probes = probe_times(m);
+  const Observed busy = observe(m, Drive::kBusy, probes);
+  const Observed idle = observe(m, Drive::kIdle, probes);
+  const auto changes_after_start = static_cast<std::uint64_t>(
+      std::count_if(busy.history.begin(), busy.history.end(),
+                    [](const sim::Sample& x) { return x.time > 0.0; }));
+  EXPECT_GT(changes_after_start, 100u);
+  EXPECT_EQ(busy.events, changes_after_start);
+  EXPECT_EQ(idle.events, 0u);
+  EXPECT_EQ(idle.history, busy.history);
 }

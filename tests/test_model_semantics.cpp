@@ -30,8 +30,7 @@ double observed_mean_sojourn(double dynamism, std::uint64_t seed) {
   const load::OnOffModel model(params);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(seed));
-  src->start(s, h);
+  h.drive(model.make_source(sim::Rng(seed)));
   const double horizon = 500000.0;
   s.run_until(horizon);
   const std::size_t transitions = h.load_history().size() - 1;

@@ -64,8 +64,7 @@ TEST(ReclamationModel, TogglesHostOnlineState) {
                                         });
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(3));
-  src->start(s, h);
+  h.drive(model.make_source(sim::Rng(3)));
   s.run_until(5000.0);
   std::size_t outages = 0;
   for (const sim::Sample& sample : h.load_history())
@@ -84,8 +83,7 @@ TEST(ReclamationModel, ComposesWithBaseLoad) {
                                      });
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(4));
-  src->start(s, h);
+  h.drive(model.make_source(sim::Rng(4)));
   s.run_until(2000.0);
   // While online the base competitor halves availability; offline zeroes it.
   EXPECT_LT(h.mean_availability(0.0, 2000.0), 0.5);

@@ -96,8 +96,7 @@ TEST(TraceIo, ParsedTraceDrivesTraceModel) {
                          /*random_phase=*/false);
   sim::Simulator s;
   pf::Host h(s, 0, 100.0, "h");
-  auto src = model.make_source(sim::Rng(1));
-  src->start(s, h);
+  h.drive(model.make_source(sim::Rng(1)));
   s.run_until(90.0);
   EXPECT_DOUBLE_EQ(h.mean_availability(0.0, 50.0), 1.0);
   EXPECT_DOUBLE_EQ(h.mean_availability(50.0, 90.0), 0.25);
