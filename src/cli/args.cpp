@@ -103,6 +103,15 @@ long Args::get_int(const std::string& flag, long fallback) {
   return parsed;
 }
 
+std::size_t Args::get_count(const std::string& flag, std::size_t fallback) {
+  if (!has(flag)) return fallback;
+  const long v = get_int(flag, 0);
+  if (v < 0)
+    throw std::invalid_argument("--" + flag + " must be >= 0, got " +
+                                std::to_string(v));
+  return static_cast<std::size_t>(v);
+}
+
 bool Args::get_bool(const std::string& flag) {
   const auto v = raw(flag);
   if (!v) return false;

@@ -5,6 +5,7 @@
 // unused_flags(), so each subcommand can own its flag set.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <set>
@@ -56,6 +57,10 @@ class Args {
                                        const std::string& fallback);
   [[nodiscard]] double get_double(const std::string& flag, double fallback);
   [[nodiscard]] long get_int(const std::string& flag, long fallback);
+  /// Non-negative integer flag: rejects negatives instead of letting the
+  /// size_t cast wrap them into absurd host/trial/thread counts.
+  [[nodiscard]] std::size_t get_count(const std::string& flag,
+                                      std::size_t fallback);
   [[nodiscard]] bool get_bool(const std::string& flag);
 
   /// Comma-separated list of doubles (e.g. --points=0,0.1,0.5).

@@ -11,17 +11,14 @@
 namespace simsweep::cli {
 
 void apply_config_flags(Args& args, scenario::ScenarioSpec& spec) {
-  spec.hosts = static_cast<std::size_t>(
-      args.get_int("hosts", static_cast<long>(spec.hosts)));
-  spec.active = static_cast<std::size_t>(
-      args.get_int("active", static_cast<long>(spec.active)));
-  spec.iterations = static_cast<std::size_t>(
-      args.get_int("iters", static_cast<long>(spec.iterations)));
+  spec.hosts = args.get_count("hosts", spec.hosts);
+  spec.active = args.get_count("active", spec.active);
+  spec.iterations = args.get_count("iters", spec.iterations);
   spec.iter_minutes = args.get_double("iter-minutes", spec.iter_minutes);
   spec.state_mb = args.get_double("state-mb", spec.state_mb);
   spec.comm_kb = args.get_double("comm-kb", spec.comm_kb);
-  spec.spares = static_cast<std::size_t>(args.get_int(
-      "spares", static_cast<long>(spec.hosts - spec.active)));
+  spec.spares = args.get_count(
+      "spares", spec.hosts > spec.active ? spec.hosts - spec.active : 0);
   spec.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long>(spec.seed)));
   spec.horizon_hours = args.get_double("horizon-hours", spec.horizon_hours);
@@ -30,12 +27,11 @@ void apply_config_flags(Args& args, scenario::ScenarioSpec& spec) {
   spec.swap_fail_prob = args.get_double("swap-fail-prob", spec.swap_fail_prob);
   spec.checkpoint_fail_prob =
       args.get_double("ckpt-fail-prob", spec.checkpoint_fail_prob);
-  spec.max_transfer_retries = static_cast<std::size_t>(args.get_int(
-      "fault-retries", static_cast<long>(spec.max_transfer_retries)));
-  spec.blacklist_after = static_cast<std::size_t>(args.get_int(
-      "blacklist-after", static_cast<long>(spec.blacklist_after)));
-  spec.max_events = static_cast<std::uint64_t>(
-      args.get_int("max-events", static_cast<long>(spec.max_events)));
+  spec.max_transfer_retries =
+      args.get_count("fault-retries", spec.max_transfer_retries);
+  spec.blacklist_after =
+      args.get_count("blacklist-after", spec.blacklist_after);
+  spec.max_events = args.get_count("max-events", spec.max_events);
 }
 
 audit::AuditMode parse_audit_flag(Args& args) {
@@ -133,7 +129,7 @@ scenario::EstimatorSpec build_estimator(Args& args) {
     spec.tau_s = args.get_double("ewma-tau", 120.0);
   } else if (predictor == "median") {
     spec.kind = scenario::EstimatorKind::kMedian;
-    spec.k = static_cast<std::size_t>(args.get_int("median-k", 5));
+    spec.k = args.get_count("median-k", 5);
   } else {
     throw std::invalid_argument("unknown --predictor '" + predictor +
                                 "' (window|nws|ewma|median)");
@@ -169,44 +165,20 @@ std::unique_ptr<strategy::Strategy> build_strategy(Args& args) {
   return scenario::make_strategy(spec);
 }
 
-ObsOptions parse_obs_options(Args& args, const char* metrics_env,
-                             const char* timeline_env) {
+ObsOptions parse_obs_options(Args& args) {
   ObsOptions opts;
   // Flags win over the environment; an env var set to "" counts as unset.
-  opts.metrics_path = args.get_string("metrics", "");
-  if (opts.metrics_path.empty() && metrics_env != nullptr)
-    opts.metrics_path = metrics_env;
-  opts.timeline_path = args.get_string("timeline", "");
-  if (opts.timeline_path.empty() && timeline_env != nullptr)
-    opts.timeline_path = timeline_env;
+  const auto flag_or_env = [&args](const char* flag, const char* env) {
+    std::string path = args.get_string(flag, "");
+    const char* value = std::getenv(env);
+    if (path.empty() && value != nullptr) path = value;
+    return path;
+  };
+  opts.metrics_path = flag_or_env("metrics", "SIMSWEEP_METRICS");
+  opts.timeline_path = flag_or_env("timeline", "SIMSWEEP_TIMELINE");
   opts.profile_path = args.get_string("profile-json", "");
   opts.profile = args.get_bool("profile");
   return opts;
-}
-
-ObsOptions parse_obs_options(Args& args) {
-  return parse_obs_options(args, std::getenv("SIMSWEEP_METRICS"),
-                           std::getenv("SIMSWEEP_TIMELINE"));
-}
-
-StatusOptions parse_status_options(Args& args, const char* status_env) {
-  StatusOptions opts;
-  opts.path = args.get_string("status", "");
-  if (opts.path.empty() && status_env != nullptr) opts.path = status_env;
-  opts.heartbeat_s = args.get_double("status-interval", opts.heartbeat_s);
-  if (opts.heartbeat_s < 0.0)
-    throw std::invalid_argument("--status-interval must be >= 0");
-  opts.progress = args.get_bool("progress");
-  if (opts.progress && opts.path.empty()) {
-    // --progress without --status still wants the ETA machinery; aim the
-    // snapshots at the bit bucket so only the stderr line remains.
-    opts.path = "/dev/null";
-  }
-  return opts;
-}
-
-StatusOptions parse_status_options(Args& args) {
-  return parse_status_options(args, std::getenv("SIMSWEEP_STATUS"));
 }
 
 void reject_unused(const Args& args) {

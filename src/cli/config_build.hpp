@@ -53,11 +53,6 @@ struct ObsOptions {
   std::string profile_path;   ///< trial-engine profile as JSON; empty = off
   bool profile = false;       ///< print the trial-engine profile
 
-  [[nodiscard]] bool any() const noexcept {
-    return !metrics_path.empty() || !timeline_path.empty() ||
-           !profile_path.empty() || profile;
-  }
-
   /// The wall-clock profiler is needed for either profile output.
   [[nodiscard]] bool want_profiler() const noexcept {
     return profile || !profile_path.empty();
@@ -65,33 +60,10 @@ struct ObsOptions {
 };
 
 /// Flags: --metrics=FILE --timeline=FILE --profile --profile-json=FILE.
-/// When a flag is absent the corresponding env value applies instead (pass
-/// the raw getenv result; null or empty means unset), so whole suites can be
-/// observed without editing command lines.
-[[nodiscard]] ObsOptions parse_obs_options(Args& args,
-                                           const char* metrics_env,
-                                           const char* timeline_env);
-
-/// parse_obs_options with SIMSWEEP_METRICS / SIMSWEEP_TIMELINE from the
-/// process environment.
+/// An absent --metrics / --timeline falls back to SIMSWEEP_METRICS /
+/// SIMSWEEP_TIMELINE (empty = unset), so whole suites can be observed
+/// without editing command lines.
 [[nodiscard]] ObsOptions parse_obs_options(Args& args);
-
-/// Live-telemetry surface (sweep, bench): periodic atomic status snapshots
-/// plus an opt-in stderr progress line.
-struct StatusOptions {
-  std::string path;          ///< snapshot file; empty = telemetry off
-  double heartbeat_s = 1.0;  ///< min seconds between periodic snapshots
-  bool progress = false;     ///< stderr progress line per snapshot
-
-  [[nodiscard]] bool enabled() const noexcept { return !path.empty(); }
-};
-
-/// Flags: --status=FILE --status-interval=SECONDS --progress.  `status_env`
-/// (SIMSWEEP_STATUS in the one-argument overload) fills the path when the
-/// flag is absent; null or empty means unset.
-[[nodiscard]] StatusOptions parse_status_options(Args& args,
-                                                 const char* status_env);
-[[nodiscard]] StatusOptions parse_status_options(Args& args);
 
 /// Throws std::invalid_argument listing any unconsumed flags.
 void reject_unused(const Args& args);

@@ -20,21 +20,14 @@
 #include "cli/config_build.hpp"
 #include "cli/report_cmd.hpp"
 #include "cli/sweep_runner.hpp"
-#include "core/trial_runner.hpp"
-#include "load/onoff.hpp"
 #include "obs/atomic_write.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/status.hpp"
 #include "obs/timeline.hpp"
-#include "platform/host.hpp"
-#include "resilience/quarantine.hpp"
-#include "resilience/signal.hpp"
 #include "resilience/watchdog.hpp"
 #include "scenario/scenario.hpp"
 #include "simcore/simulator.hpp"
 #include "strategy/decision_trace.hpp"
-#include "swap/policy.hpp"
 
 namespace cli = simsweep::cli;
 namespace core = simsweep::core;
@@ -58,62 +51,88 @@ commands:
 
 scenario flags (run, bench):
   bench <name|file.json>  run a shipped scenario (scenarios/*.json; override
-             the directory with SIMSWEEP_SCENARIO_DIR) or an explicit file;
-             grid scenarios inherit the sweep resilience/observability
-             surface below.  --trials overrides the scenario's trial count
-             (SIMSWEEP_TRIALS env var sits between flag and file).
+             the directory with SIMSWEEP_SCENARIO_DIR) or an explicit file
   bench --list            list shipped scenarios with their titles
   --scenario=<name|file>  (run) start from a scenario's platform/app/load
              config; explicit flags below still override field by field
 
 platform/application flags (run, sweep):
   --hosts=32 --active=4 --spares=<hosts-active> --iters=60
-  --iter-minutes=2 --state-mb=1 --comm-kb=100 --seed=1 --trials=8
+  --iter-minutes=2 --state-mb=1 --comm-kb=100 --seed=1
+  sweep only: --points=0,0.05,0.1,0.2,0.3,0.5,0.8,1.0 (dynamism grid)
 
-execution/output flags (run, sweep):
-  --jobs=N   worker threads for independent trials (default: SIMSWEEP_JOBS
+grid flags (sweep, bench) — one parser, the same meaning in both:
+  --trials=N  trials per cell; absent or 0 falls back to the SIMSWEEP_TRIALS
+             env var, then to the scenario's count (sweep's is 8)
+  --jobs=N   worker threads for independent cells (default: SIMSWEEP_JOBS
              env var, else hardware concurrency; results are identical to
              --jobs=1)
-  --json     print machine-readable JSON instead of tables
-  --trace-decisions=FILE  (run) write one JSON line per policy decision —
-             candidates weighed, payback distance, rejection reason,
-             recovery actions — across all trials; makespans are unchanged
   --audit[=fail|warn]  run the invariant auditor over every trial: fail
              (the default) throws on the first violation, warn collects
              violations and reports their count.  Checks are read-only, so
              makespans are bitwise identical with auditing on or off.  The
              SIMSWEEP_AUDIT env var applies the same modes suite-wide.
-
-observability flags (run, sweep, bench):
+  --trial-timeout=SECONDS  wall-clock watchdog per cell; overdue work is
+             cancelled cooperatively and reported as hung.  Absent or 0
+             falls back to the SIMSWEEP_TRIAL_TIMEOUT env var, else off.
+  --trial-retries=N  extra attempts (capped backoff) before a failed or hung
+             cell is quarantined (default 1)
+  --journal=FILE  append each completed cell to a crash-consistent journal
+             (write-temp + fsync + atomic rename); a killed run loses at
+             most the in-flight cells.
+  --resume=FILE   replay completed cells from a journal instead of
+             re-simulating them; the finished artifacts are byte-identical
+             to an uninterrupted run at any --jobs.  Journaling continues
+             into the same file unless --journal says otherwise.  The
+             journal records the scenario name and config digests, so
+             resuming against an edited scenario is refused.
+  --quarantine=FILE  write the quarantine report (config digest, seed,
+             outcome, attempts, error per abandoned cell) as JSON; without
+             it, abandoned cells are summarized on stderr.  The run
+             continues degraded either way and exits 0.
   --metrics=FILE   write a merged metrics snapshot (counters, gauges,
              histograms from every simulation layer) as JSON; identical at
              any --jobs, and makespans are unchanged.  Env fallback:
              SIMSWEEP_METRICS.
   --timeline=FILE  write a Chrome trace-event JSON timeline (load in
-             https://ui.perfetto.dev): one process per trial (sweep: per
-             point x strategy x trial), one track per host/subsystem,
-             virtual seconds as trace microseconds.  Env fallback:
-             SIMSWEEP_TIMELINE.
-  --profile  measure the trial engine itself (wall-clock): per-trial
+             https://ui.perfetto.dev): one process per trial (grids: per
+             cell x trial), one track per host/subsystem, virtual seconds
+             as trace microseconds.  Env fallback: SIMSWEEP_TIMELINE.
+  --profile  measure the trial engine itself (wall-clock): per-cell
              duration, queue wait, per-worker utilization.  Printed after
              the results (stderr under --json and bench).
   --profile-json=FILE  write the same trial-engine profile as a JSON
              artifact (readable by `simsweep report`).
-  All artifact files (--metrics/--timeline/--quarantine/--status/
-  --profile-json, and the journal) are published atomically: write-temp +
-  fsync + rename, so a SIGKILL can never leave a torn file.
-
-live telemetry flags (sweep, bench):
   --status=FILE    periodically publish an atomic status snapshot JSON:
              cells done/total per strategy, retries, quarantines, worker
              utilization, and an EWMA-based wall-clock ETA.  The file is
              written before the first cell runs and marked "partial":true
-             until the sweep completes, so a killed run always leaves a
+             until the run completes, so a killed run always leaves a
              parseable snapshot.  Env fallback: SIMSWEEP_STATUS.  Inspect
              with `simsweep status FILE`.
   --status-interval=SECONDS  min seconds between heartbeats (default 1)
   --progress       one-line progress/ETA updates on stderr (implies status
              tracking; without --status the snapshots go to /dev/null)
+  testing hooks: --stop-after-cells=N (stop claiming cells after N, a
+             deterministic stand-in for SIGKILL), --inject-fail=I,J /
+             --inject-hang=K (force cell failures to exercise retry and
+             quarantine; hangs need --trial-timeout)
+  All artifact files (--metrics/--timeline/--quarantine/--status/
+  --profile-json, and the journal) are published atomically: write-temp +
+  fsync + rename, so a SIGKILL can never leave a torn file.  SIGINT/SIGTERM
+  flush the journal and emit partial artifacts whose provenance meta
+  carries "partial":true; exit code is 130.
+
+run flags:
+  --trials=8 --jobs=N  trials (seeds --seed, --seed+1, ...) and the worker
+             threads they fan out over
+  --json     print machine-readable JSON instead of a table (also sweep)
+  --trace-decisions=FILE  write one JSON line per policy decision —
+             candidates weighed, payback distance, rejection reason,
+             recovery actions — across all trials; makespans are unchanged
+  --audit, --metrics, --timeline, --profile, --profile-json: as in the
+             grid flags; --trial-timeout=SECONDS watches each trial (no
+             env fallback) and fails the run when one hangs
 
 artifact analysis (report, status):
   report summary FILE...      per-artifact summary (human table; --json for
@@ -127,32 +146,6 @@ artifact analysis (report, status):
   status FILE [--stale-after=SECONDS]  pretty-print a --status snapshot;
              exits 4 when the run claims to be live but the heartbeat is
              older than --stale-after (default 30)
-
-resilience flags:
-  --trial-timeout=SECONDS  (run, sweep, bench) wall-clock watchdog per trial
-             (run) or per sweep cell; overdue work is cancelled
-             cooperatively and reported as hung.  0 (default) disables the
-             watchdog (bench falls back to SIMSWEEP_TRIAL_TIMEOUT).
-  --journal=FILE  (sweep, bench) append each completed cell to a
-             crash-consistent journal (write-temp + fsync + atomic rename);
-             a killed sweep loses at most the in-flight cells.
-  --resume=FILE   (sweep, bench) replay completed cells from a journal
-             instead of re-simulating them; the finished artifacts are
-             byte-identical to an uninterrupted run at any --jobs.
-             Journaling continues into the same file unless --journal says
-             otherwise.  The journal records the scenario name and config
-             digests, so resuming against an edited scenario is refused.
-  --trial-retries=N  (sweep, bench) extra attempts (capped backoff) before a
-             failed or hung cell is quarantined (default 1)
-  --quarantine=FILE  (sweep, bench) write the quarantine report (config
-             digest, seed, outcome, attempts, error per abandoned cell) as
-             JSON; without it, abandoned cells are summarized on stderr.
-             The sweep continues degraded either way and exits 0.
-  SIGINT/SIGTERM flush the journal and emit partial artifacts whose
-  provenance meta carries "partial":true; exit code is 130.
-  testing hooks (sweep): --stop-after-cells=N (stop claiming cells after N,
-  a deterministic stand-in for SIGKILL), --inject-fail=I,J / --inject-hang=K
-  (force cell failures to exercise retry and quarantine)
 
 load model flags (run, trace):
   --model=onoff   --dynamism=0.2 | --p=0.3 --q=0.08 [--step=100]
@@ -182,17 +175,6 @@ examples:
   simsweep trace --model=hyperexp --lifetime=150 --duration=2000
 )";
 
-/// Non-negative integer flag; rejects negatives before the size_t cast can
-/// wrap into an absurd thread/trial count.
-std::size_t get_count(cli::Args& args, const std::string& flag,
-                      long fallback) {
-  const long v = args.get_int(flag, fallback);
-  if (v < 0)
-    throw std::invalid_argument("--" + flag + " must be >= 0, got " +
-                                std::to_string(v));
-  return static_cast<std::size_t>(v);
-}
-
 /// Opens `path` for writing or throws with the flag name that asked for it.
 std::ofstream open_output(const std::string& path, const char* flag) {
   std::ofstream out(path);
@@ -203,8 +185,8 @@ std::ofstream open_output(const std::string& path, const char* flag) {
 }
 
 int cmd_run(cli::Args& args) {
-  const auto trials = get_count(args, "trials", 8);
-  const auto jobs = get_count(args, "jobs", 0);
+  const auto trials = args.get_count("trials", 8);
+  const auto jobs = args.get_count("jobs", 0);
   const bool json = args.get_bool("json");
   const double trial_timeout = args.get_double("trial-timeout", 0.0);
   const std::string trace_path = args.get_string("trace-decisions", "");
@@ -233,66 +215,49 @@ int cmd_run(cli::Args& args) {
     strategy = cli::build_strategy(args);
   }
   cli::reject_unused(args);
+  // Tracing and observability never touch the simulation: the stats are
+  // bitwise identical with them on or off.
+  cfg.trace_decisions = !trace_path.empty();
   cfg.obs.metrics = !obs_opts.metrics_path.empty();
   cfg.obs.timeline = !obs_opts.timeline_path.empty();
   const simsweep::obs::Provenance prov = core::make_run_provenance(
       cfg, model->describe() + ";" + strategy->name());
 
-  core::TrialStats stats;
   simsweep::obs::TrialProfiler profiler;
-  const bool need_results = !trace_path.empty() || cfg.obs.any();
-  if (!need_results && !obs_opts.want_profiler() && trial_timeout <= 0.0) {
-    stats = core::run_trials_parallel(cfg, *model, *strategy, trials, jobs);
-  } else {
-    // Tracing and observability never touch the simulation, so stats match
-    // the plain path bitwise; the per-trial results additionally carry the
-    // decision traces / metrics registries / timeline tracers.
-    cfg.trace_decisions = !trace_path.empty();
-    std::vector<strat::RunResult> results;
-    if (trial_timeout > 0.0) {
-      // Watchdog outlives the runner, whose destructor joins the workers.
-      simsweep::resilience::Watchdog watchdog(trial_timeout);
-      core::TrialRunner runner(jobs);
-      runner.set_trial_guard(&watchdog);
-      try {
-        results = core::run_trials_results(
-            cfg, *model, *strategy, trials, runner,
-            obs_opts.want_profiler() ? &profiler : nullptr);
-      } catch (const simsweep::sim::RunCancelled&) {
-        throw std::runtime_error(
-            "trial hung: exceeded --trial-timeout after " +
-            std::to_string(trial_timeout) + " s of wall-clock time");
-      }
-    } else {
-      results = core::run_trials_results(
-          cfg, *model, *strategy, trials, jobs,
-          obs_opts.want_profiler() ? &profiler : nullptr);
-    }
-    if (!trace_path.empty()) {
-      auto out = open_output(trace_path, "trace-decisions");
-      for (std::size_t t = 0; t < results.size(); ++t)
-        strat::write_trace_jsonl(out, strategy->name(), cfg.seed + t, t,
-                                 results[t].decision_trace);
-    }
-    if (cfg.obs.metrics) {
-      const auto merged = core::merge_trial_metrics(results);
-      std::ostringstream os;
-      merged->write_json(os, &prov);
-      os << '\n';
-      simsweep::obs::atomic_write_file(obs_opts.metrics_path, os.str());
-    }
-    if (cfg.obs.timeline) {
-      std::vector<simsweep::obs::TimelineTracer::Process> processes;
-      for (std::size_t t = 0; t < results.size(); ++t)
-        if (results[t].timeline)
-          processes.push_back(
-              {"trial " + std::to_string(t), results[t].timeline.get()});
-      std::ostringstream os;
-      simsweep::obs::TimelineTracer::write_chrome_json(os, processes, &prov);
-      os << '\n';
-      simsweep::obs::atomic_write_file(obs_opts.timeline_path, os.str());
-    }
-    stats = core::reduce_trials(results);
+  std::unique_ptr<simsweep::resilience::Watchdog> watchdog;
+  if (trial_timeout > 0.0)
+    watchdog = std::make_unique<simsweep::resilience::Watchdog>(trial_timeout);
+  std::vector<strat::RunResult> results;
+  try {
+    results = core::run_trials_results(
+        cfg, *model, *strategy, trials, jobs,
+        obs_opts.want_profiler() ? &profiler : nullptr, watchdog.get());
+  } catch (const simsweep::sim::RunCancelled&) {
+    throw std::runtime_error("trial hung: exceeded --trial-timeout after " +
+                             std::to_string(trial_timeout) +
+                             " s of wall-clock time");
+  }
+  if (!trace_path.empty()) {
+    auto out = open_output(trace_path, "trace-decisions");
+    for (std::size_t t = 0; t < results.size(); ++t)
+      strat::write_trace_jsonl(out, strategy->name(), cfg.seed + t, t,
+                               results[t].decision_trace);
+  }
+  if (cfg.obs.metrics) {
+    std::ostringstream os;
+    core::merge_trial_metrics(results)->write_json(os, &prov);
+    os << '\n';
+    simsweep::obs::atomic_write_file(obs_opts.metrics_path, os.str());
+  }
+  if (cfg.obs.timeline) {
+    std::vector<simsweep::obs::TimelineTracer::Process> processes;
+    for (std::size_t t = 0; t < results.size(); ++t)
+      processes.push_back(
+          {"trial " + std::to_string(t), results[t].timeline.get()});
+    std::ostringstream os;
+    simsweep::obs::TimelineTracer::write_chrome_json(os, processes, &prov);
+    os << '\n';
+    simsweep::obs::atomic_write_file(obs_opts.timeline_path, os.str());
   }
   if (!obs_opts.profile_path.empty()) {
     std::ostringstream os;
@@ -300,6 +265,7 @@ int cmd_run(cli::Args& args) {
     os << '\n';
     simsweep::obs::atomic_write_file(obs_opts.profile_path, os.str());
   }
+  const core::TrialStats stats = core::reduce_trials(results);
   if (json) {
     stats.print_json(std::cout, &prov);
     std::cout << '\n';
@@ -341,113 +307,30 @@ int cmd_run(cli::Args& args) {
   return 0;
 }
 
-/// Comma-separated list of non-negative cell indices (test/CI hooks).
-std::vector<std::size_t> get_index_list(cli::Args& args,
-                                        const std::string& flag) {
-  std::vector<std::size_t> out;
-  for (const double v : args.get_double_list(flag, {})) {
-    if (v < 0.0)
-      throw std::invalid_argument("--" + flag + " indices must be >= 0");
-    out.push_back(static_cast<std::size_t>(v));
-  }
-  return out;
-}
-
 int cmd_sweep(cli::Args& args) {
-  namespace res = simsweep::resilience;
-  res::arm_interrupt_handlers();
-
   // The classic sweep is just the built-in "sweep" scenario with the
   // platform/app flags layered on top.
-  cli::SweepPlan plan;
-  plan.spec = scenario::sweep_scenario();
-  plan.trials = get_count(args, "trials", 8);
-  if (plan.trials == 0) throw std::invalid_argument("sweep: zero --trials");
-  plan.jobs = get_count(args, "jobs", 0);
+  cli::GridOptions opts = cli::parse_grid_flags(args);
   const bool json = args.get_bool("json");
-  const auto obs_opts = cli::parse_obs_options(args);
-  const auto status_opts = cli::parse_status_options(args);
-  plan.metrics = !obs_opts.metrics_path.empty();
-  plan.timeline = !obs_opts.timeline_path.empty();
-  plan.trial_timeout_s = args.get_double("trial-timeout", 0.0);
-  plan.trial_retries = get_count(args, "trial-retries", 1);
-  plan.resume_path = args.get_string("resume", "");
-  // --resume without --journal keeps journaling into the resumed file, so
-  // a twice-interrupted sweep still resumes from its full history.
-  plan.journal_path = args.get_string("journal", plan.resume_path);
-  const std::string quarantine_path = args.get_string("quarantine", "");
-  plan.hooks.stop_after_cells = get_count(args, "stop-after-cells", 0);
-  plan.hooks.inject_fail = get_index_list(args, "inject-fail");
-  plan.hooks.inject_hang = get_index_list(args, "inject-hang");
-  cli::apply_config_flags(args, plan.spec);
-  plan.audit = cli::parse_audit_flag(args);
-  plan.spec.axis.x = args.get_double_list(
+  opts.plan.spec = scenario::sweep_scenario();
+  cli::apply_config_flags(args, opts.plan.spec);
+  opts.plan.spec.axis.x = args.get_double_list(
       "points", {0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0});
   cli::reject_unused(args);
-
-  simsweep::obs::TrialProfiler profiler;
-  if (obs_opts.want_profiler()) plan.profiler = &profiler;
-  std::unique_ptr<simsweep::obs::StatusBoard> status;
-  if (status_opts.enabled()) {
-    simsweep::obs::StatusBoard::Options board_opts;
-    board_opts.path = status_opts.path;
-    board_opts.heartbeat_s = status_opts.heartbeat_s;
-    board_opts.progress = status_opts.progress;
-    status = std::make_unique<simsweep::obs::StatusBoard>(board_opts);
-    plan.status = status.get();
-  }
-
-  const cli::SweepResult result = cli::run_sweep(plan);
-
-  if (result.cells_reused > 0)
-    std::fprintf(stderr, "sweep: resumed %zu of %zu cell(s) from '%s'\n",
-                 result.cells_reused, result.cells_total,
-                 plan.resume_path.c_str());
-  for (const auto& record : result.quarantined)
-    std::fprintf(stderr,
-                 "sweep: quarantined cell %zu (%s): %s after %zu attempt(s): "
-                 "%s\n",
-                 record.index, record.label.c_str(),
-                 std::string(res::to_string(record.outcome)).c_str(),
-                 record.attempts, record.error.c_str());
-  if (!quarantine_path.empty()) {
-    std::ostringstream os;
-    res::write_quarantine_json(os, result.quarantined, &result.provenance);
-    simsweep::obs::atomic_write_file(quarantine_path, os.str());
-  }
-  if (plan.metrics)
-    simsweep::obs::atomic_write_file(obs_opts.metrics_path,
-                                     result.metrics_json);
-  if (plan.timeline)
-    simsweep::obs::atomic_write_file(obs_opts.timeline_path,
-                                     result.timeline_json);
-  if (!obs_opts.profile_path.empty()) {
-    std::ostringstream os;
-    profiler.write_json(os, &result.provenance);
-    os << '\n';
-    simsweep::obs::atomic_write_file(obs_opts.profile_path, os.str());
-  }
-  if (result.partial)
-    std::fprintf(stderr,
-                 "sweep: interrupted — %zu cell(s) not run; artifacts are "
-                 "partial (provenance carries \"partial\":true), resume with "
-                 "--resume=%s\n",
-                 result.cells_skipped,
-                 plan.journal_path.empty() ? "JOURNAL"
-                                           : plan.journal_path.c_str());
-
-  const core::SeriesReport& report = result.reports.front();
-  if (json) {
-    report.print_json(std::cout, &result.provenance);
-    std::cout << '\n';
-    if (obs_opts.profile) profiler.print(std::cerr);
-  } else {
-    report.print_table(std::cout);
-    std::cout << "\n";
-    report.print_csv(std::cout);
-    if (obs_opts.profile) profiler.print(std::cout);
-  }
-  return res::interrupted() ? 130 : 0;
+  return cli::run_grid(
+      "sweep", std::move(opts),
+      [json](const cli::SweepResult& result) {
+        const core::SeriesReport& report = result.reports.front();
+        if (json) {
+          report.print_json(std::cout, &result.provenance);
+          std::cout << '\n';
+        } else {
+          report.print_table(std::cout);
+          std::cout << "\n";
+          report.print_csv(std::cout);
+        }
+      },
+      json ? std::cerr : std::cout);
 }
 
 int cmd_trace(cli::Args& args) {
@@ -455,21 +338,7 @@ int cmd_trace(cli::Args& args) {
   const auto model = cli::build_load_model(args);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   cli::reject_unused(args);
-
-  simsweep::sim::Simulator simulator;
-  simsweep::platform::Host host(simulator, 0, 300.0e6, "traced");
-  host.drive(model->make_source(simsweep::sim::Rng(seed)));
-  simulator.run_until(duration);
-
-  std::printf("time,cpu_load\n");
-  double last = 0.0;
-  for (const auto& sample : host.load_history()) {
-    if (sample.time > duration) break;
-    std::printf("%.1f,%.0f\n%.1f,%.0f\n", sample.time, last, sample.time,
-                sample.value);
-    last = sample.value;
-  }
-  std::printf("%.1f,%.0f\n", duration, last);
+  (void)cli::write_load_trace(std::cout, *model, seed, duration);
   return 0;
 }
 

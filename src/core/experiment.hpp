@@ -22,7 +22,7 @@
 
 namespace simsweep::core {
 
-class TrialRunner;
+class TrialGuard;
 
 /// Per-run observability switches.  Both collectors only *read* simulation
 /// state, so an observed run is bitwise identical to a plain one.
@@ -32,8 +32,6 @@ struct ObsConfig {
 
   /// Attach a per-trial obs::TimelineTracer (RunResult::timeline).
   bool timeline = false;
-
-  [[nodiscard]] bool any() const noexcept { return metrics || timeline; }
 };
 
 struct ExperimentConfig {
@@ -142,48 +140,29 @@ struct TrialStats {
 /// Folds per-trial results, in trial order, into summary statistics.
 /// Variance uses Welford's online algorithm, so makespans around 1e9 s do
 /// not suffer the catastrophic cancellation of the naive sum-of-squares
-/// form.  Both run_trials and run_trials_parallel reduce through this, in
-/// the same order, so their outputs are bitwise identical.
+/// form.  Every trial fan-out reduces through this in trial order, so the
+/// stats are bitwise identical at any `jobs`.
 [[nodiscard]] TrialStats reduce_trials(
     const std::vector<strategy::RunResult>& results);
 
-[[nodiscard]] TrialStats run_trials(ExperimentConfig config,
-                                    const load::LoadModel& model,
-                                    strategy::Strategy& strategy,
-                                    std::size_t trials);
-
-/// run_trials with the independent trials fanned out over a worker pool.
-/// Each trial still derives its seed as config.seed + t and results are
-/// reduced in trial order, so the returned TrialStats is bitwise identical
-/// to the serial path.  `jobs` == 0 uses the process-wide shared pool
-/// (sized by SIMSWEEP_JOBS or hardware concurrency); any other value runs
-/// on a dedicated pool of exactly that many executors.  Requires
-/// `strategy.launch` to be safe to call concurrently, which holds for all
-/// in-tree strategies (launch only reads configuration and builds
-/// per-run state).
-[[nodiscard]] TrialStats run_trials_parallel(ExperimentConfig config,
-                                             const load::LoadModel& model,
-                                             strategy::Strategy& strategy,
-                                             std::size_t trials,
-                                             std::size_t jobs = 0);
-
-/// The per-trial results behind run_trials/run_trials_parallel, in trial
-/// order (trial t ran with seed config.seed + t).  Callers that need more
-/// than summary statistics — decision traces, per-trial makespans — use
-/// this and reduce_trials() the vector themselves.  `jobs` as in
-/// run_trials_parallel; `jobs` == 1 runs the trials serially.
+/// The per-trial results of `trials` runs, in trial order (trial t ran with
+/// seed config.seed + t).  With `jobs` == 1 and neither a profiler nor a
+/// guard, the trials run serially on the calling thread and no runner
+/// exists.  Otherwise they fan out over a TrialRunner of `jobs` executors
+/// (0 = TrialRunner::default_parallelism()) with `profiler` and `guard`
+/// (e.g. a wall-clock watchdog) attached; the results are bitwise identical
+/// either way.  Requires `strategy.launch` to be safe to call concurrently,
+/// which holds for all in-tree strategies.
 [[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
     ExperimentConfig config, const load::LoadModel& model,
     strategy::Strategy& strategy, std::size_t trials, std::size_t jobs = 1,
-    obs::TrialProfiler* profiler = nullptr);
+    obs::TrialProfiler* profiler = nullptr, TrialGuard* guard = nullptr);
 
-/// run_trials_results on a caller-owned runner, so the caller can attach a
-/// profiler and/or a trial guard (wall-clock watchdog) of its own before
-/// fanning out.  Trials are still seeded and reduced in trial order.
-[[nodiscard]] std::vector<strategy::RunResult> run_trials_results(
-    ExperimentConfig config, const load::LoadModel& model,
-    strategy::Strategy& strategy, std::size_t trials, TrialRunner& runner,
-    obs::TrialProfiler* profiler = nullptr);
+/// reduce_trials(run_trials_results(...)).
+[[nodiscard]] TrialStats run_trials(ExperimentConfig config,
+                                    const load::LoadModel& model,
+                                    strategy::Strategy& strategy,
+                                    std::size_t trials, std::size_t jobs = 1);
 
 /// Folds the per-trial metrics registries of `results` into one snapshot,
 /// in trial-index order — the same order regardless of --jobs, so the

@@ -43,11 +43,6 @@ std::size_t TrialRunner::default_parallelism() {
   return hw > 0 ? hw : 1;
 }
 
-TrialRunner& TrialRunner::shared() {
-  static TrialRunner runner;
-  return runner;
-}
-
 void TrialRunner::run_one(Batch& batch, std::size_t i,
                           std::size_t worker_id) {
   obs::TrialProfiler* profiler = profiler_.load(std::memory_order_relaxed);

@@ -6,7 +6,7 @@
 // experiment layer needs: run `body(i)` for every index of a range across
 // a fixed set of workers.  Determinism is the caller's job and is easy:
 // write results into slot `i` of a preallocated vector and reduce in index
-// order afterwards — see core::run_trials_parallel.
+// order afterwards — see core::run_trials_results.
 //
 // The calling thread participates in its own batch, so a TrialRunner with
 // parallelism 1 spawns no threads at all, and nested parallel_for calls
@@ -75,9 +75,6 @@ class TrialRunner {
   /// SIMSWEEP_JOBS when set to a positive integer, otherwise
   /// std::thread::hardware_concurrency() (at least 1).
   [[nodiscard]] static std::size_t default_parallelism();
-
-  /// Process-wide runner sized by default_parallelism() on first use.
-  [[nodiscard]] static TrialRunner& shared();
 
   /// Attaches a wall-clock profiler: every parallel_for call records one
   /// TrialProfiler entry per index (submit time, execution window, worker

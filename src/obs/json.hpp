@@ -14,6 +14,7 @@
 #include <limits>
 #include <ostream>
 #include <string_view>
+#include <vector>
 
 namespace simsweep::obs {
 
@@ -40,6 +41,16 @@ inline void write_json_number(std::ostream& os, std::uint64_t value) {
     return;
   }
   os.write(buf, end - buf);
+}
+
+inline void write_json_array(std::ostream& os,
+                             const std::vector<double>& values) {
+  os << '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) os << ',';
+    write_json_number(os, values[i]);
+  }
+  os << ']';
 }
 
 /// Minimal JSON string escaping: quotes, backslashes, and control bytes.

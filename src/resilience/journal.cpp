@@ -54,4 +54,24 @@ std::vector<JournalLine> read_journal(const std::string& path) {
   return out;
 }
 
+core::TrialStats read_trial_stats(const JsonValue& v) {
+  core::TrialStats s;
+  s.mean = v.at("mean").as_double();
+  s.stddev = v.at("stddev").as_double();
+  s.min = v.at("min").as_double();
+  s.max = v.at("max").as_double();
+  s.trials = v.at("trials").as_size();
+  s.unfinished = v.at("unfinished").as_size();
+  s.stalled = v.at("stalled").as_size();
+  s.resource_exhausted = v.at("resource_exhausted").as_size();
+  s.mean_adaptations = v.at("mean_adaptations").as_double();
+  s.mean_crashes = v.at("mean_crashes").as_double();
+  s.mean_transfer_failures = v.at("mean_transfer_failures").as_double();
+  s.mean_recoveries = v.at("mean_recoveries").as_double();
+  s.mean_checkpoint_failures = v.at("mean_checkpoint_failures").as_double();
+  s.mean_time_lost_s = v.at("mean_time_lost_s").as_double();
+  s.audit_violations = v.at("audit_violations").as_size();
+  return s;
+}
+
 }  // namespace simsweep::resilience

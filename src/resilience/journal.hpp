@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "resilience/json_read.hpp"
 
 namespace simsweep::resilience {
@@ -63,5 +64,11 @@ struct JournalLine {
 /// rename writer that only happens when someone else appended to the file,
 /// and the torn tail is exactly the part that was never durable.
 [[nodiscard]] std::vector<JournalLine> read_journal(const std::string& path);
+
+/// Reads the "stats" object of a sweep journal's cell record back into the
+/// TrialStats whose print_json wrote it.  Strict: every field is required
+/// and numeric (a completed cell's stats are finite, so null is an error).
+/// Exact: each double was written shortest round-trip.
+[[nodiscard]] core::TrialStats read_trial_stats(const JsonValue& v);
 
 }  // namespace simsweep::resilience

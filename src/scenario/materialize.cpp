@@ -31,7 +31,9 @@ core::ExperimentConfig base_config(const ScenarioSpec& spec) {
   cfg.faults.retry_backoff_cap_s = spec.retry_backoff_cap_s;
   cfg.faults.blacklist_after = spec.blacklist_after;
   cfg.faults.validate();
-  if (spec.active + cfg.spare_count > cfg.cluster.host_count)
+  // Written so that no sum can wrap: a huge spare count must fail here,
+  // not slip past as active + spares overflowing below the host count.
+  if (spec.active > spec.hosts || spec.spares > spec.hosts - spec.active)
     throw std::invalid_argument("config: active + spares exceeds --hosts");
   return cfg;
 }

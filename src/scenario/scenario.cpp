@@ -752,12 +752,9 @@ void write_axis(std::ostream& os, const AxisSpec& a) {
   os << "{\"label\":";
   write_str(os, a.label);
   os << ",\"binds\":\"" << enum_name(kBindingNames, a.binding)
-     << "\",\"x\":[";
-  for (std::size_t i = 0; i < a.x.size(); ++i) {
-    if (i > 0) os << ',';
-    write_num(os, a.x[i]);
-  }
-  os << "],\"interarrival_factor\":";
+     << "\",\"x\":";
+  obs::write_json_array(os, a.x);
+  os << ",\"interarrival_factor\":";
   write_num(os, a.interarrival_factor);
   os << ",\"on_positive_swap_fail_prob\":";
   write_num(os, a.on_positive_swap_fail_prob);
@@ -884,12 +881,9 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
         if (i > 0) os << ',';
         write_str(os, spec.histogram_policies[i]);
       }
-      os << "],\"dynamisms\":[";
-      for (std::size_t i = 0; i < spec.histogram_dynamisms.size(); ++i) {
-        if (i > 0) os << ',';
-        write_num(os, spec.histogram_dynamisms[i]);
-      }
-      os << "]}";
+      os << "],\"dynamisms\":";
+      obs::write_json_array(os, spec.histogram_dynamisms);
+      os << '}';
       break;
     }
   }

@@ -1,7 +1,11 @@
-// Tests for the CLI flag parser and config builders.
+// Tests for the CLI flag parser, config builders and the grid flags that
+// `sweep` and `bench` share.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "cli/args.hpp"
+#include "cli/bench_cmd.hpp"
 #include "cli/config_build.hpp"
 #include "load/hyperexp.hpp"
 #include "load/onoff.hpp"
@@ -214,4 +218,82 @@ TEST(ConfigBuild, PredictorSelection) {
   }
   cli::Args bad({"--strategy=swap", "--predictor=psychic"});
   EXPECT_THROW((void)cli::build_strategy(bad), std::invalid_argument);
+}
+
+TEST(ConfigBuild, NegativeCountsAreRejectedBeforeTheyWrap) {
+  // A -1 cast to size_t is 2^64 - 1, which overflows past the "active +
+  // spares exceeds --hosts" check and dies allocating a vector.
+  cli::Args spares({"--hosts=8", "--active=4", "--spares=-1"});
+  try {
+    (void)cli::build_config(spares);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--spares must be >= 0, got -1");
+  }
+  for (const char* flag : {"--hosts=-3", "--active=-1", "--iters=-2",
+                           "--fault-retries=-1", "--blacklist-after=-1",
+                           "--max-events=-5"}) {
+    cli::Args args({flag});
+    EXPECT_THROW((void)cli::build_config(args), std::invalid_argument)
+        << flag;
+  }
+  cli::Args median({"--strategy=swap", "--predictor=median", "--median-k=-1"});
+  EXPECT_THROW((void)cli::build_strategy(median), std::invalid_argument);
+}
+
+TEST(ConfigBuild, MoreActiveThanHostsIsRejected) {
+  // The default spare count (hosts - active) must not wrap either.
+  cli::Args args({"--hosts=4", "--active=8"});
+  EXPECT_THROW((void)cli::build_config(args), std::invalid_argument);
+}
+
+TEST(GridFlags, OneParserForSweepAndBench) {
+  cli::Args args({"--trials=3", "--jobs=2", "--audit=warn",
+                  "--trial-timeout=5", "--trial-retries=2",
+                  "--resume=run.journal", "--quarantine=q.json",
+                  "--stop-after-cells=4", "--inject-fail=1,2",
+                  "--inject-hang=3", "--metrics=m.json", "--timeline=t.json",
+                  "--profile", "--profile-json=p.json", "--status=s.json",
+                  "--status-interval=0.5", "--progress"});
+  const cli::GridOptions opts = cli::parse_grid_flags(args);
+  EXPECT_NO_THROW(cli::reject_unused(args));
+  const cli::SweepPlan& plan = opts.plan;
+  EXPECT_EQ(plan.trials, 3u);
+  EXPECT_EQ(plan.jobs, 2u);
+  EXPECT_EQ(plan.audit, simsweep::audit::AuditMode::kWarn);
+  EXPECT_DOUBLE_EQ(plan.trial_timeout_s, 5.0);
+  EXPECT_EQ(plan.trial_retries, 2u);
+  EXPECT_EQ(plan.resume_path, "run.journal");
+  // --resume without --journal keeps journaling into the resumed file.
+  EXPECT_EQ(plan.journal_path, "run.journal");
+  EXPECT_EQ(opts.quarantine_path, "q.json");
+  EXPECT_EQ(plan.hooks.stop_after_cells, 4u);
+  EXPECT_EQ(plan.hooks.inject_fail, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(plan.hooks.inject_hang, (std::vector<std::size_t>{3}));
+  EXPECT_TRUE(plan.metrics);
+  EXPECT_TRUE(plan.timeline);
+  EXPECT_TRUE(opts.obs.profile);
+  EXPECT_EQ(opts.obs.profile_path, "p.json");
+  EXPECT_EQ(opts.status.path, "s.json");
+  EXPECT_DOUBLE_EQ(opts.status.heartbeat_s, 0.5);
+  EXPECT_TRUE(opts.status.progress);
+}
+
+TEST(GridFlags, ZeroTrialsFallsBackToTheEnvironmentThenTheScenario) {
+  const char* saved = std::getenv("SIMSWEEP_TRIALS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("SIMSWEEP_TRIALS", "5", 1);
+  cli::Args zero({"--trials=0"});
+  EXPECT_EQ(cli::parse_grid_flags(zero).plan.trials, 5u);
+  cli::Args explicit_trials({"--trials=2"});
+  EXPECT_EQ(cli::parse_grid_flags(explicit_trials).plan.trials, 2u);
+  ::unsetenv("SIMSWEEP_TRIALS");
+  cli::Args absent({});
+  EXPECT_EQ(cli::parse_grid_flags(absent).plan.trials, 0u);  // the scenario's
+  if (saved != nullptr) ::setenv("SIMSWEEP_TRIALS", saved_value.c_str(), 1);
+
+  cli::Args negative({"--trials=-2"});
+  EXPECT_THROW((void)cli::parse_grid_flags(negative), std::invalid_argument);
+  cli::Args bad_index({"--inject-fail=-1"});
+  EXPECT_THROW((void)cli::parse_grid_flags(bad_index), std::invalid_argument);
 }

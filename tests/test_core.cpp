@@ -193,8 +193,7 @@ TEST(RunTrialsParallel, BitwiseIdenticalToSerial) {
   load::OnOffModel model(load::OnOffParams::dynamism(0.4));
   strat::SwapStrategy swap{simsweep::swap::greedy_policy()};
   const auto serial = core::run_trials(cfg, model, swap, 6);
-  const auto parallel = core::run_trials_parallel(cfg, model, swap, 6,
-                                                  /*jobs=*/4);
+  const auto parallel = core::run_trials(cfg, model, swap, 6, /*jobs=*/4);
   // EXPECT_EQ on doubles is exact comparison: bitwise-identical results.
   EXPECT_EQ(serial.mean, parallel.mean);
   EXPECT_EQ(serial.stddev, parallel.stddev);
@@ -211,7 +210,8 @@ TEST(RunTrialsParallel, SharedPoolPathMatchesSerial) {
   load::OnOffModel model(load::OnOffParams::dynamism(0.3));
   strat::NoneStrategy none;
   const auto serial = core::run_trials(cfg, model, none, 4);
-  const auto pooled = core::run_trials_parallel(cfg, model, none, 4);
+  // jobs == 0: a pool of TrialRunner::default_parallelism() executors.
+  const auto pooled = core::run_trials(cfg, model, none, 4, /*jobs=*/0);
   EXPECT_EQ(serial.mean, pooled.mean);
   EXPECT_EQ(serial.stddev, pooled.stddev);
 }
@@ -220,7 +220,7 @@ TEST(RunTrialsParallel, RejectsZeroTrials) {
   auto cfg = small_config();
   load::ConstantModel quiet(0);
   strat::NoneStrategy none;
-  EXPECT_THROW((void)core::run_trials_parallel(cfg, quiet, none, 0, 2),
+  EXPECT_THROW((void)core::run_trials(cfg, quiet, none, 0, /*jobs=*/2),
                std::invalid_argument);
 }
 

@@ -415,7 +415,7 @@ TEST(FaultRuns, SerialAndParallelTrialsIdentical) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
       const auto parallel =
-          core::run_trials_parallel(cfg, model, *technique, 6, jobs);
+          core::run_trials(cfg, model, *technique, 6, jobs);
       EXPECT_DOUBLE_EQ(serial.mean, parallel.mean)
           << technique->name() << " jobs=" << jobs;
       EXPECT_DOUBLE_EQ(serial.stddev, parallel.stddev)

@@ -3,7 +3,9 @@
 // provenance digest folding in load model and strategy lineup, the registry
 // with did-you-mean support, and the headline bench guarantee — `simsweep
 // bench <name>` is byte-identical to the retired standalone figure binaries
-// whose outputs are recorded under tests/golden_bench/.
+// whose outputs are recorded under tests/golden_bench/ — and the same
+// guarantee for `run --json`, `sweep` and `trace`, whose stdout is recorded
+// under tests/golden_cli/.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -26,6 +29,9 @@
 #endif
 #ifndef SIMSWEEP_GOLDEN_BENCH_DIR
 #define SIMSWEEP_GOLDEN_BENCH_DIR "golden_bench"
+#endif
+#ifndef SIMSWEEP_GOLDEN_CLI_DIR
+#define SIMSWEEP_GOLDEN_CLI_DIR "golden_cli"
 #endif
 #ifndef SIMSWEEP_SCENARIO_SRC_DIR
 #define SIMSWEEP_SCENARIO_SRC_DIR "scenarios"
@@ -46,10 +52,13 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Runs `command` (already shell-quoted), captures stdout+stderr, and
-/// returns the exit code through `exit_code`.
-std::string run_command(const std::string& command, int& exit_code) {
-  FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+/// Runs `command` (already shell-quoted), captures stdout (and stderr
+/// unless `merge_stderr` is false), and returns the exit code through
+/// `exit_code`.
+std::string run_command(const std::string& command, int& exit_code,
+                        bool merge_stderr = true) {
+  FILE* pipe = ::popen(
+      (command + (merge_stderr ? " 2>&1" : " 2>/dev/null")).c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   std::string output;
   char buffer[4096];
@@ -130,6 +139,21 @@ TEST(ScenarioParse, UnknownKeyReportsLineContext) {
   }
 }
 
+TEST(ScenarioParse, HugeSpareCountCannotWrapPastTheHostCheck) {
+  // 4 active + (2^64 - 1) spares wraps to 3 in size_t arithmetic, so a
+  // check written as a sum would let it past "active + spares exceeds
+  // hosts".
+  const scn::ScenarioSpec spec = scn::parse_scenario(
+      R"({"name": "wrap", "kind": "grid",
+          "config": {"hosts": 8, "active": 4,
+                     "spares": 18446744073709551615},
+          "variants": [{"name": "none", "strategy": {"kind": "none"}}]})",
+      "wrap.json");
+  EXPECT_EQ(spec.spares, std::numeric_limits<std::size_t>::max());
+  EXPECT_THROW((void)scn::base_config(spec), std::invalid_argument);
+  EXPECT_THROW((void)scn::materialize(spec), std::invalid_argument);
+}
+
 TEST(ScenarioParse, WrongValueKindIsRejected) {
   EXPECT_THROW(
       (void)scn::parse_scenario(R"({"name": "x", "trials": "eight"})",
@@ -206,11 +230,12 @@ class BenchGolden : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BenchGolden, MatchesRecordedOutput) {
   const std::string name = GetParam();
-  const scn::ScenarioSpec spec = scn::find_scenario(name, scenario_dir());
-  cli::BenchOptions opts;
-  opts.trials = 2;  // the recorded outputs were captured at SIMSWEEP_TRIALS=2
+  cli::GridOptions opts;
+  opts.plan.spec = scn::find_scenario(name, scenario_dir());
+  // The recorded outputs were captured at SIMSWEEP_TRIALS=2.
+  opts.plan.trials = 2;
   std::ostringstream out;
-  ASSERT_EQ(cli::run_bench_scenario(spec, opts, out), 0);
+  ASSERT_EQ(cli::run_bench_scenario(opts, out), 0);
   EXPECT_EQ(out.str(), read_file(std::string(SIMSWEEP_GOLDEN_BENCH_DIR) +
                                  "/" + name + ".txt"));
 }
@@ -263,51 +288,50 @@ scn::ScenarioSpec small_grid() {
 }
 
 TEST(BenchResume, InterruptedThenResumedIsByteIdentical) {
-  const scn::ScenarioSpec spec = small_grid();
-  cli::BenchOptions opts;
-  opts.jobs = 1;
-  opts.hooks.interrupted = [] { return false; };
+  cli::GridOptions opts;
+  opts.plan.spec = small_grid();
+  opts.plan.jobs = 1;
+  opts.plan.hooks.interrupted = [] { return false; };
 
   std::ostringstream full;
-  ASSERT_EQ(cli::run_bench_scenario(spec, opts, full), 0);
+  ASSERT_EQ(cli::run_bench_scenario(opts, full), 0);
 
   TempPath journal("bench_resume");
-  cli::BenchOptions stopped = opts;
-  stopped.journal_path = journal.str();
-  stopped.hooks.stop_after_cells = 3;
+  cli::GridOptions stopped = opts;
+  stopped.plan.journal_path = journal.str();
+  stopped.plan.hooks.stop_after_cells = 3;
   // The bench report format carries no provenance block (byte parity with
   // the retired binaries), so "partial" shows only in the stderr diagnostic
   // and the missing cells' NaN entries.
   std::ostringstream partial;
-  (void)cli::run_bench_scenario(spec, stopped, partial);
+  (void)cli::run_bench_scenario(stopped, partial);
   EXPECT_NE(partial.str(), full.str());
 
-  cli::BenchOptions resumed = opts;
-  resumed.journal_path = journal.str();
-  resumed.resume_path = journal.str();
+  cli::GridOptions resumed = opts;
+  resumed.plan.journal_path = journal.str();
+  resumed.plan.resume_path = journal.str();
   std::ostringstream second;
-  ASSERT_EQ(cli::run_bench_scenario(spec, resumed, second), 0);
+  ASSERT_EQ(cli::run_bench_scenario(resumed, second), 0);
   EXPECT_EQ(full.str(), second.str());
 }
 
 TEST(BenchResume, EditedScenarioIsRejectedAgainstOldJournal) {
-  const scn::ScenarioSpec spec = small_grid();
-  cli::BenchOptions opts;
-  opts.jobs = 1;
-  opts.hooks.interrupted = [] { return false; };
+  cli::GridOptions opts;
+  opts.plan.spec = small_grid();
+  opts.plan.jobs = 1;
+  opts.plan.hooks.interrupted = [] { return false; };
 
   TempPath journal("bench_resume_edited");
-  cli::BenchOptions first = opts;
-  first.journal_path = journal.str();
+  cli::GridOptions first = opts;
+  first.plan.journal_path = journal.str();
   std::ostringstream out;
-  ASSERT_EQ(cli::run_bench_scenario(spec, first, out), 0);
+  ASSERT_EQ(cli::run_bench_scenario(first, out), 0);
 
-  scn::ScenarioSpec edited = spec;
-  edited.load.p = 0.9;  // a different experiment entirely
-  cli::BenchOptions resume = opts;
-  resume.resume_path = journal.str();
+  cli::GridOptions resume = opts;
+  resume.plan.spec.load.p = 0.9;  // a different experiment entirely
+  resume.plan.resume_path = journal.str();
   std::ostringstream ignored;
-  EXPECT_THROW((void)cli::run_bench_scenario(edited, resume, ignored),
+  EXPECT_THROW((void)cli::run_bench_scenario(resume, ignored),
                std::runtime_error);
 }
 
@@ -355,6 +379,60 @@ TEST(BenchCli, MissingNameIsAnError) {
   EXPECT_EQ(exit_code, 1);
   EXPECT_NE(output.find("missing scenario name"), std::string::npos)
       << output;
+}
+
+// ---------------------------------------------------------------------------
+// run / sweep / trace stdout through the binary, recorded at the commit
+// before `sweep` and `bench` shared one grid front end.  Provenance carries
+// the build's version and type, so those two fields are blanked first.
+
+std::string without_build_stamp(std::string text) {
+  for (const std::string key : {"\"version\":\"", "\"build_type\":\""}) {
+    for (std::size_t at = text.find(key); at != std::string::npos;
+         at = text.find(key, at + key.size())) {
+      const std::size_t begin = at + key.size();
+      text.erase(begin, text.find('"', begin) - begin);
+    }
+  }
+  return text;
+}
+
+void expect_cli_output(const std::string& args, const std::string& golden) {
+  int exit_code = -1;
+  const std::string output = run_command(
+      std::string(SIMSWEEP_BINARY_PATH) + " " + args, exit_code,
+      /*merge_stderr=*/false);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(without_build_stamp(output),
+            without_build_stamp(read_file(
+                std::string(SIMSWEEP_GOLDEN_CLI_DIR) + "/" + golden)));
+}
+
+constexpr const char* kSmallPlatform = "--hosts=12 --active=4 --iters=20";
+
+TEST(CliGolden, RunJsonMatchesRecordedOutput) {
+  expect_cli_output(std::string("run ") + kSmallPlatform +
+                        " --strategy=swap --policy=greedy --dynamism=0.3"
+                        " --mtbf-hours=2 --swap-fail-prob=0.1 --trials=3"
+                        " --jobs=2 --json",
+                    "run.json");
+}
+
+TEST(CliGolden, SweepJsonMatchesRecordedOutput) {
+  expect_cli_output(std::string("sweep ") + kSmallPlatform +
+                        " --points=0,0.3 --trials=2 --jobs=2 --json",
+                    "sweep.json");
+}
+
+TEST(CliGolden, SweepTableAndCsvMatchRecordedOutput) {
+  expect_cli_output(std::string("sweep ") + kSmallPlatform +
+                        " --points=0,0.3 --trials=2 --jobs=2",
+                    "sweep.txt");
+}
+
+TEST(CliGolden, HyperexpTraceMatchesRecordedOutput) {
+  expect_cli_output("trace --model=hyperexp --lifetime=150 --duration=20000",
+                    "trace_hyperexp.csv");
 }
 
 }  // namespace
