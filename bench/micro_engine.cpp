@@ -50,8 +50,8 @@ static void BM_EventQueueSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSelfScheduling);
 
-// The FairShare shape: every re-plan cancels and reschedules each of the n
-// pending completion events, burying n stale entries in the heap.
+// Lazy-cancellation stress: every re-plan cancels and reschedules each of
+// n pending events, burying n stale entries in the heap.
 static void BM_EventQueueCancelReschedule(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr int kReplans = 1000;

@@ -17,8 +17,12 @@ void apply_config_flags(Args& args, scenario::ScenarioSpec& spec) {
   spec.iter_minutes = args.get_double("iter-minutes", spec.iter_minutes);
   spec.state_mb = args.get_double("state-mb", spec.state_mb);
   spec.comm_kb = args.get_double("comm-kb", spec.comm_kb);
-  spec.spares = args.get_count(
-      "spares", spec.hosts > spec.active ? spec.hosts - spec.active : 0);
+  // A resized platform makes every inactive host a spare by default; an
+  // unresized one keeps the scenario's own spare count.
+  std::size_t spares = spec.spares;
+  if (args.has("hosts") || args.has("active"))
+    spares = spec.hosts > spec.active ? spec.hosts - spec.active : 0;
+  spec.spares = args.get_count("spares", spares);
   spec.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long>(spec.seed)));
   spec.horizon_hours = args.get_double("horizon-hours", spec.horizon_hours);

@@ -24,7 +24,8 @@ namespace simsweep::cli {
 /// --active --spares --iters --iter-minutes --state-mb --comm-kb --seed
 /// --horizon-hours --mtbf-hours --swap-fail-prob --ckpt-fail-prob
 /// --fault-retries --blacklist-after --max-events.  Absent flags leave the
-/// spec's values in place (--spares defaults to hosts - active).
+/// spec's values in place; an absent --spares becomes hosts - active only
+/// when --hosts or --active was given.
 void apply_config_flags(Args& args, scenario::ScenarioSpec& spec);
 
 /// --audit[=fail|warn]; kOff when the flag is absent (the SIMSWEEP_AUDIT

@@ -254,6 +254,7 @@ strategy::RunResult run_single(const ExperimentConfig& config,
     // Run-level summary metrics, recorded once at the end so they reflect
     // the assembled result (post-horizon/stall fixups included).
     metrics->add("sim.events_fired", simulator.events_fired());
+    metrics->add("sim.events_scheduled", simulator.scheduled_total());
     if (simulator.queue_depth_samples() != 0) {
       metrics->set_gauge("sim.queue_depth_mean",
                          simulator.queue_depth_mean());

@@ -8,7 +8,6 @@ namespace simsweep::sim {
 void FairShare::Entry::abandon() {
   if (!active_) return;
   active_ = false;
-  completion_.cancel();
   if (share_ != nullptr) {
     FairShare& share = *share_;
     const std::shared_ptr<Entry> keep = share.release(*this);
@@ -50,7 +49,10 @@ void FairShare::replan() {
     if (pass_metric_ != nullptr)
       if (obs::MetricsRegistry* metrics = simulator_.metrics())
         metrics->add(pass_metric_);
-    if (!entries_.empty()) pass(auditing());
+    if (entries_.empty())
+      completion_.cancel();  // nothing left to complete
+    else
+      pass(auditing());
   } while (replan_pending_);
   replanning_ = false;
 }
@@ -66,18 +68,29 @@ void FairShare::pass(bool auditing) {
             std::to_string(rate) + "/s exceed capacity " +
             std::to_string(capacity_) + "/s");
   // A pass runs no model code, so entries_ cannot change under the loop.
-  // Completions are scheduled in entry order, which fixes how equal-time
-  // completions tie in the event queue.
+  SimTime next = kTimeInfinity;
   for (const std::shared_ptr<Entry>& entry : entries_) {
     accrue(*entry, now, auditing);
     entry->rate_ = rate;
-    entry->completion_.cancel();
-    if (rate <= 0.0) continue;  // stalled until the next re-plan
-    // While scheduled, the entry is held by entries_: it leaves only by
-    // finish() (this event) or abandon() (which cancels it).
-    entry->completion_ = simulator_.after(
-        entry->remaining_ / rate, [this, e = entry.get()] { finish(*e); });
+    entry->finish_at_ =
+        rate > 0.0 ? now + entry->remaining_ / rate : kTimeInfinity;
+    next = std::min(next, entry->finish_at_);
   }
+  completion_.cancel();
+  if (rate <= 0.0) return;  // stalled until the next re-plan
+  completion_ = simulator_.at(next, [this] { complete_next(); });
+}
+
+/// Fired at the earliest finish time: finishes the first entry, in arrival
+/// order, that is due now.  Its finish re-plans the survivors, so an entry
+/// tied with it gets a fresh event at this same instant.
+void FairShare::complete_next() {
+  const SimTime now = simulator_.now();
+  for (const std::shared_ptr<Entry>& entry : entries_)
+    if (entry->finish_at_ == now) {
+      finish(*entry);  // releases the entry: stop iterating
+      return;
+    }
 }
 
 /// Progress since the last re-plan, with the conservation audits: the

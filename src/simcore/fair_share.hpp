@@ -11,6 +11,15 @@
 // FairShare owns everything the two have in common: progress accrual, the
 // rate rule, completion-event scheduling, finish/cancel bookkeeping, the
 // accrual audits and the re-plan re-entrancy guard.
+//
+// A resource keeps one pending completion event, not one per entry.  Each
+// re-plan accrues every entry, sets its finish time (now + remaining / rate,
+// or +inf while stalled) and moves the event to the earliest of them.  When
+// it fires, the first entry in arrival order that is due finishes, and the
+// re-plan that follows gives any tied survivor a fresh event at the same
+// instant.  Finishes therefore come in the order, and interleave with other
+// events in the order, that one event per entry scheduled in arrival order
+// at every re-plan would give, for one heap push per re-plan instead of n.
 #pragma once
 
 #include <functional>
@@ -58,7 +67,7 @@ class FairShare {
     Completion done_;
     SimTime last_update_ = 0.0;
     double rate_ = 0.0;  // granted at the last re-plan
-    EventHandle completion_;
+    SimTime finish_at_ = kTimeInfinity;  // as of the last re-plan
     bool active_ = true;
   };
 
@@ -81,7 +90,7 @@ class FairShare {
   /// Starts serving `entry` now; every entry's share changes.
   void add(std::shared_ptr<Entry> entry);
 
-  /// Completes `entry` now.  Fired by the completion event; also callable
+  /// Completes `entry` now.  Called by the completion event; also callable
   /// on an entry that never joined (the link's latency-only messages), in
   /// which case the served set is unchanged and nobody is re-planned.
   void finish(Entry& entry);
@@ -92,6 +101,7 @@ class FairShare {
  private:
   void replan();
   void pass(bool auditing);
+  void complete_next();
   void accrue(Entry& entry, SimTime now, bool auditing) const;
   std::shared_ptr<Entry> release(Entry& entry);
   [[nodiscard]] bool auditing() const noexcept;
@@ -105,6 +115,7 @@ class FairShare {
   const char* pass_metric_;
   FinishHook on_finish_;
   std::vector<std::shared_ptr<Entry>> entries_;  // served, in arrival order
+  EventHandle completion_;  // at the earliest finish_at_, while rate > 0
   // Re-entrancy guard.  A pass only accrues and schedules, so no current
   // path re-enters it; it stays because interleaving two rate assignments
   // would silently corrupt accrual, and a nested request (from an auditor,

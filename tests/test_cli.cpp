@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/bench_cmd.hpp"
@@ -10,8 +13,10 @@
 #include "load/hyperexp.hpp"
 #include "load/onoff.hpp"
 #include "load/reclamation.hpp"
+#include "scenario/scenario.hpp"
 
 namespace cli = simsweep::cli;
+namespace scenario = simsweep::scenario;
 
 TEST(Args, ParsesEqualsAndSpaceSeparatedFlags) {
   cli::Args args({"--alpha=3.5", "--beta", "7", "--gamma"});
@@ -239,6 +244,24 @@ TEST(ConfigBuild, NegativeCountsAreRejectedBeforeTheyWrap) {
   }
   cli::Args median({"--strategy=swap", "--predictor=median", "--median-k=-1"});
   EXPECT_THROW((void)cli::build_strategy(median), std::invalid_argument);
+}
+
+TEST(ConfigBuild, ScenarioKeepsItsSparesUnlessThePlatformIsResized) {
+  // What `run --scenario=fig10` builds: fig10 is 4 active of 32 hosts with
+  // 8 spares, not the 28 that hosts - active would give.
+  const auto spares = [](std::vector<std::string> flags) {
+    cli::Args args(std::move(flags));
+    scenario::ScenarioSpec spec = scenario::find_scenario(
+        "fig10", scenario::default_scenario_dir());
+    cli::apply_config_flags(args, spec);
+    return scenario::base_config(spec).spare_count;
+  };
+  EXPECT_EQ(spares({}), 8u);
+  EXPECT_EQ(spares({"--iters=10"}), 8u);
+  EXPECT_EQ(spares({"--hosts=20"}), 16u);
+  EXPECT_EQ(spares({"--active=6"}), 26u);
+  EXPECT_EQ(spares({"--hosts=20", "--spares=3"}), 3u);
+  EXPECT_EQ(spares({"--spares=5"}), 5u);
 }
 
 TEST(ConfigBuild, MoreActiveThanHostsIsRejected) {

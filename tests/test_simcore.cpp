@@ -3,11 +3,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hpp"
+#include "simcore/fair_share.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/sim_time.hpp"
 #include "simcore/simulator.hpp"
@@ -231,6 +237,217 @@ TEST(Simulator, SchedulingInThePastThrows) {
   s.run();
   EXPECT_THROW((void)s.at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW((void)s.after(-1.0, [] {}), std::invalid_argument);
+}
+
+namespace {
+
+/// A bare FairShare entry: the host and link adapters add nothing the
+/// share's scheduling depends on.
+class Job : public sim::FairShare::Entry {
+ public:
+  Job(double amount, Completion done) : Entry(amount, std::move(done)) {}
+  using Entry::abandon;
+};
+
+std::string hex(double t) {
+  std::ostringstream os;
+  os << std::hexfloat << t;
+  return os.str();
+}
+
+/// One FairShare of capacity 1 and a log of "<time hexfloat> <name>" lines:
+/// a completion logs its entry id, an outside event its own name.
+struct ShareScript {
+  sim::Simulator sim;
+  sim::FairShare share{sim, 1.0, "test", "share"};
+  std::vector<std::shared_ptr<Job>> jobs;
+  std::vector<std::string> log;
+
+  void note(const std::string& name) {
+    log.push_back(hex(sim.now()) + " " + name);
+  }
+  Job& add(double amount) {
+    const std::string id = std::to_string(jobs.size());
+    jobs.push_back(std::make_shared<Job>(amount, [this, id] { note(id); }));
+    share.add(jobs.back());
+    return *jobs.back();
+  }
+  void outside(sim::SimTime at, const std::string& name) {
+    (void)sim.at(at, [this, name] { note(name); });
+  }
+};
+
+/// A seeded mix of adds (sizes chosen to tie, exactly and by rounding),
+/// abandons, capacity changes including zero-capacity stalls, and outside
+/// events, each op scheduling the next one.  Returns the log.
+std::vector<std::string> run_share_script(std::uint64_t seed,
+                                          std::uint64_t* events_fired) {
+  ShareScript s;
+  sim::Rng rng(seed);
+  constexpr double kSizes[] = {0.5, 1.0, 1.0, 2.0, 0.1 + 0.2, 0.3};
+  constexpr double kCapacities[] = {0.0, 1.0, 2.0, 0.5};
+  constexpr double kPhantoms[] = {0.0, 1.0, 2.5};
+  constexpr double kDelays[] = {0.0, 0.25, 0.5, 1.0};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  int ops_left = 200;
+  std::function<void()> op = [&] {
+    const std::size_t kind = pick(20);
+    if (kind < 8) {
+      s.add(kSizes[pick(std::size(kSizes))]);
+    } else if (kind < 12) {
+      if (!s.jobs.empty()) s.jobs[pick(s.jobs.size())]->abandon();
+    } else if (kind < 15) {
+      s.share.set_load(kCapacities[pick(std::size(kCapacities))],
+                       kPhantoms[pick(std::size(kPhantoms))]);
+    } else {
+      s.outside(s.sim.now() + kDelays[pick(std::size(kDelays))],
+                "x" + std::to_string(ops_left));
+    }
+    if (--ops_left > 0)
+      (void)s.sim.after(kDelays[pick(std::size(kDelays))], op);
+    else
+      s.share.set_load(1.0, 0.0);  // no entry stays stalled
+  };
+  (void)s.sim.after(0.0, op);
+  s.sim.run();
+  *events_fired = s.sim.events_fired();
+  return s.log;
+}
+
+std::uint64_t fnv1a(const std::vector<std::string>& lines) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::string& line : lines)
+    for (const char c : line + "\n") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+  return h;
+}
+
+}  // namespace
+
+// Entries that finish at the same instant finish in arrival order, and an
+// outside event at that instant fires before them when it was scheduled
+// before the pass, and after the first of them when scheduled after it.
+TEST(FairShare, TiesFinishInArrivalOrderAroundOutsideEvents) {
+  ShareScript s;
+  s.outside(4.0, "before");
+  s.add(2.0);
+  s.add(2.0);
+  s.outside(4.0, "after");
+  s.sim.run();
+  EXPECT_EQ(s.log, (std::vector<std::string>{"0x1p+2 before", "0x1p+2 0",
+                                             "0x1p+2 after", "0x1p+2 1"}));
+}
+
+// 0.1 + 0.2 > 0.3, but at t = 1024 both finish times round to the same
+// double: the first arrival finishes first, not the smaller remainder.
+TEST(FairShare, RoundingTiesFinishInArrivalOrder) {
+  ShareScript s;
+  (void)s.sim.at(1024.0, [&s] {
+    s.add(0.1 + 0.2);
+    s.add(0.3);
+  });
+  s.sim.run();
+  ASSERT_EQ(s.log.size(), 2u);
+  EXPECT_EQ(s.log[0], "0x1.0026666666666p+10 0");
+  EXPECT_EQ(s.log[1], "0x1.0026666666666p+10 1");
+}
+
+// Completion sequences and event counts pinned from the per-entry-event
+// implementation: one event per resource must reproduce them bit for bit.
+TEST(FairShare, SeededScriptMatchesPinnedCompletions) {
+  struct Pinned {
+    std::uint64_t seed;
+    std::size_t lines;
+    std::uint64_t events_fired;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {1, 120, 320, 0x97203d7623bc8f86ULL},
+      {2, 126, 326, 0xeadc97afa35d89d3ULL},
+      {3, 131, 331, 0xd9a4aa228153d110ULL},
+  };
+  for (const Pinned& p : pinned) {
+    std::uint64_t fired = 0;
+    const std::vector<std::string> log = run_share_script(p.seed, &fired);
+    std::ostringstream dump;
+    for (const std::string& line : log) dump << line << "\n";
+    SCOPED_TRACE("seed " + std::to_string(p.seed) + "\n" + dump.str());
+    EXPECT_EQ(log.size(), p.lines);
+    EXPECT_EQ(fired, p.events_fired);
+    EXPECT_EQ(fnv1a(log), p.digest) << std::hex << fnv1a(log);
+  }
+}
+
+// The work counter behind the saving: a re-plan over n entries schedules
+// one completion event, not n.
+TEST(FairShare, PassSchedulesOneEventPerResource) {
+  ShareScript s;
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t before = s.sim.scheduled_total();
+    s.add(1.0 + i);
+    EXPECT_EQ(s.sim.scheduled_total(), before + 1) << "entries " << i + 1;
+  }
+  const std::uint64_t before = s.sim.scheduled_total();
+  s.share.set_load(2.0, 3.0);
+  EXPECT_EQ(s.sim.scheduled_total(), before + 1);
+}
+
+// The last entry leaving, by abandon or by finishing, leaves no stale
+// completion behind.
+TEST(FairShare, NoEventOutlivesTheLastEntry) {
+  ShareScript abandoned;
+  abandoned.add(1.0);
+  abandoned.add(2.0);
+  abandoned.jobs[0]->abandon();
+  abandoned.jobs[1]->abandon();
+  EXPECT_TRUE(abandoned.sim.idle());
+  abandoned.sim.run();
+  EXPECT_EQ(abandoned.sim.events_fired(), 0u);
+  EXPECT_TRUE(abandoned.log.empty());
+
+  ShareScript finished;
+  finished.add(1.0);
+  Job& late = finished.add(4.0);
+  // Once entry 0 has finished, abandoning entry 1 empties the share.
+  finished.outside(3.0, "abandon");
+  (void)finished.sim.at(3.0, [&late] { late.abandon(); });
+  finished.sim.run();
+  EXPECT_TRUE(finished.sim.idle());
+  EXPECT_EQ(finished.log,
+            (std::vector<std::string>{"0x1p+1 0", "0x1.8p+1 abandon"}));
+  EXPECT_EQ(finished.sim.events_fired(), 3u);
+
+  ShareScript drained;
+  drained.add(1.0);
+  drained.sim.run();
+  EXPECT_EQ(drained.sim.events_fired(), 1u);
+  EXPECT_TRUE(drained.sim.idle());
+}
+
+// Capacity 0 stalls every entry without scheduling anything; the next
+// set_load resumes them from where they stood.
+TEST(FairShare, ZeroCapacityStallsUntilTheNextSetLoad) {
+  ShareScript s;
+  s.add(2.0);
+  s.add(4.0);
+  (void)s.sim.at(1.0, [&s] {
+    const std::uint64_t before = s.sim.scheduled_total();
+    s.share.set_load(0.0, 0.0);
+    EXPECT_EQ(s.sim.scheduled_total(), before);
+  });
+  s.sim.run();
+  EXPECT_TRUE(s.log.empty());
+  EXPECT_EQ(s.sim.events_fired(), 1u);
+  EXPECT_TRUE(s.sim.idle());
+  // Stalled at t = 1 with 1.5 and 3.5 left; resumed at t = 10, entry 0
+  // finishes at 13 and entry 1, alone from then on, at 15.
+  (void)s.sim.at(10.0, [&s] { s.share.set_load(1.0, 0.0); });
+  s.sim.run();
+  EXPECT_EQ(s.log, (std::vector<std::string>{"0x1.ap+3 0", "0x1.ep+3 1"}));
 }
 
 TEST(Rng, DeterministicForSameSeed) {
